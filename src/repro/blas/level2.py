@@ -21,6 +21,10 @@ from repro.errors import DimensionError
 
 __all__ = ["dgemv", "dger"]
 
+#: elements per DGER block: 256 KiB of float64, so a block and the
+#: matching window of A stay in cache between the multiply and the add
+_GER_BLOCK = 1 << 15
+
 
 def dgemv(
     a: Any,
@@ -106,8 +110,25 @@ def dger(
     )
     if ctx.dry or m == 0 or n == 0 or alpha == 0.0:
         return a
-    outer = np.multiply.outer(x, y)
-    if alpha != 1.0:
-        outer *= alpha
-    a += outer
+    # One streaming pass over A in cache-sized blocks along its slow
+    # axis, each block laid out like A, so no whole-matrix temporary is
+    # built.  Per element the arithmetic is the textbook formula's:
+    # x*y, then *alpha, then the add into A.
+    xc, yr = x[:, None], y[None, :]
+    if abs(a.strides[0]) > abs(a.strides[1]):    # row-major: row blocks
+        step = max(1, _GER_BLOCK // n)
+        for i in range(0, m, step):
+            _ger_block(xc[i:i + step], yr, a[i:i + step], alpha, "C")
+    else:                                        # column blocks
+        step = max(1, _GER_BLOCK // m)
+        for j in range(0, n, step):
+            _ger_block(xc, yr[:, j:j + step], a[:, j:j + step], alpha, "F")
     return a
+
+
+def _ger_block(xs: Any, ys: Any, av: Any, alpha: float, order: str) -> None:
+    """``av += (xs * ys) * alpha`` through one block laid out as ``order``."""
+    blk = np.multiply(xs, ys, order=order)
+    if alpha != 1.0:
+        blk *= alpha
+    av += blk

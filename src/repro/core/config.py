@@ -66,10 +66,10 @@ class GemmConfig:
     ``fuse``
         Opt-in plan fusion (:mod:`repro.plan.fuse`): compiled plans
         additionally carry a fused program — elementwise chains replayed
-        without per-op dispatch and same-shape base-case products packed
-        into one batched ``np.matmul`` call.  Only the plan path reads
-        it (``plan_cache=``); the recursive drivers ignore it.  Because
-        the batched kernel's accumulation order differs from the tiled
+        without per-op dispatch and each base-case product run in place
+        by one ``np.matmul`` call.  Only the plan path reads it
+        (``plan_cache=``); the recursive drivers ignore it.  Because
+        the ``np.matmul`` accumulation order differs from the tiled
         substrate kernel, ``fuse`` keys the plan signature — fused and
         interpreted plans never collide in a cache.
     ``dtype``
@@ -83,7 +83,7 @@ class GemmConfig:
         Kahan-accumulated floating point, ``"exact"`` integer/object
         arithmetic with no float intermediates.  Legal combinations:
         exact ⟺ exact dtype (int64/object); compensated requires an
-        inexact dtype; ``fuse`` requires ``"fast"`` (the batched matmul
+        inexact dtype; ``fuse`` requires ``"fast"`` (the fused
         program has no compensated or exact replay).
 
     Declaration order matters — see the module docstring.

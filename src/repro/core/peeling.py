@@ -15,7 +15,9 @@ dims odd)::
 
 The three steps are exactly the paper's combined fix-up: one BLAS
 rank-one update plus two matrix-vector products — no special cases
-inside the Strassen schedules and no extra temporary memory.  For a
+inside the Strassen schedules and no extra temporary memory.  The DGER
+streams ``C11`` once, in cache-sized blocks, so the O(n²) fix-up costs
+about one pass over C rather than a whole-matrix temporary.  For a
 ⟨3,3,3⟩ scheme a dimension can peel *two* indices; the construction
 generalises index-wise (one DGER per peeled k column, one DGEMV per
 peeled n column, one transposed DGEMV per peeled m row) — the

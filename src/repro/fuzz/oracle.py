@@ -24,7 +24,7 @@ Checks, in decreasing strictness:
    in the same order — any drift is a bug, not roundoff); ``fused`` vs
    ``fused-replay`` must be bit-identical too — fused execution is
    deterministic, it just isn't bit-identical to the *interpreted*
-   stream (the batched/direct ``np.matmul`` kernel accumulates in a
+   stream (the direct ``np.matmul`` kernel accumulates in a
    different order than the tiled substrate kernel), so the fused
    paths are checked against the reference and against their own
    replay, never bit-compared to the interpreted paths;

@@ -15,9 +15,8 @@ bit-identical to the recursive drivers.
 
 With ``fuse=True`` on :class:`~repro.core.config.GemmConfig`, compiled
 plans additionally carry a :class:`~repro.plan.fuse.FusedProgram` —
-the op stream re-expressed as elementwise runs, packed batched-product
-groups, and direct base-case products (:func:`~repro.plan.fuse.
-fuse_plan`) — which the executor replays in place of the interpreted
+the op stream re-expressed as elementwise runs with every base-case
+product executed in place (:func:`~repro.plan.fuse.fuse_plan`) — which the executor replays in place of the interpreted
 loop.  Fused replay is deterministic and charge-identical, but not
 bit-identical to the interpreted stream (different base-case kernel);
 ``fuse`` therefore keys the plan signature.

@@ -1,60 +1,58 @@
-"""Plan fusion: coalesce op chains and batch base-case products.
+"""Plan fusion: coalesce op chains and run every base product in place.
 
 The interpreted executor (:mod:`repro.plan.executor`) pays Python
 dispatch per typed op — one function call, operand validation, and a
 context charge for every madd/msub/axpby and every leaf ``dgemm``.  At
 serving scale that dispatch *is* the dominant cost (ROADMAP item 1).
 This module compiles an :class:`~repro.plan.compiler.ExecutionPlan`
-into a :class:`FusedProgram` of three coarse step kinds:
+into a :class:`FusedProgram` of two coarse step kinds:
 
-- **Elementwise runs** (``FS_EW``): maximal consecutive stretches of
-  ``OP_MADD``/``OP_MSUB``/``OP_ACCUM``/``OP_AXPBY`` executed as one
-  tight inline loop — same numpy calls, same order, no per-op function
-  call, validation, or charge (the context is charged once per run with
-  the exact aggregate tallies).  Elementwise fusion is **bit-identical**
-  to interpreted replay by construction.  Runs also carry two pseudo-op
-  kinds: ``OP_PACK`` (operand capture for a deferred batch, below) and
-  ``OP_DIRECT`` — a base-case product executed in place via one strided
-  ``np.matmul``, used for every product the hazard analysis cannot pair
-  with a batch partner (packing a lone product costs more than the one
-  call it saves).
-- **Batched GEMM groups** (``FS_BATCH``): same-shape, same-scalar
-  base-case products stacked into contiguous ``(d, m, k)`` / ``(d, k,
-  n)`` pack buffers and executed as one 3-D ``np.matmul`` — the
-  packing-friendly formulation of Huang et al.'s BLIS Strassen, with
-  the pack buffers carved from the same arena the plan's temporaries
-  live in (appended after ``plan.arena_bytes`` at 64-byte-aligned
-  offsets).  Operands are packed *eagerly*, at the producing op's
-  position in the stream (``OP_PACK`` pseudo-ops inside the elementwise
-  runs), so the schedules' buffer reuse (an S-sum overwritten right
-  after the product that consumed it is queued) never stales a read.
+- **Runs** (``FS_EW``): maximal stretches of the op stream between
+  fix-ups, executed as one tight inline loop — same numpy calls, same
+  order, no per-op function call, validation, or charge (the context is
+  charged once per run with the exact aggregate tallies).  A run holds
+  the elementwise ops ``OP_MADD``/``OP_MSUB``/``OP_ACCUM``/``OP_AXPBY``,
+  bit-identical to interpreted replay by construction, and the
+  pseudo-op ``OP_DIRECT``: a base-case product executed in place, at
+  its original stream position, by one strided ``np.matmul`` into the
+  output view.
 - **Fix-ups** (``FS_FIXUP``): dynamic-peeling boundary updates pass
   through to the interpreted executors unchanged.
 
-Deferring a product is only legal until some later op reads or writes
-its output; the pass tracks the pending outputs of every open group and
-flushes *selectively* — only the conflicting groups execute at a
-hazard, disjoint ones keep accumulating partners.  Because operands are
-packed eagerly, writes to a pending product's *inputs* are not hazards
-— exactly the case the Strassen schedules hit constantly.  The paper's
-schedules are deliberately memory-frugal (products land in C quadrants
-that the very next combination reads), which caps the legal batch depth
-at the scheme's independent-product prefix; the two-pass structure —
-discover groups first, then demote the singletons to ``OP_DIRECT`` at
-their original stream position — keeps the batched path for every
-product that genuinely has partners and the zero-copy path for the
-rest.
+Every base product runs in place; none is batched.  Stacking
+same-shape products into one 3-D ``np.matmul`` (the packing-friendly
+formulation of Huang et al.'s BLIS Strassen) was measured and removed:
+in BLIS the packing is the GEMM kernel's own, nearly free, but here
+``np.matmul`` already packs inside the BLAS, so a Python-level pack is
+one more transposing memory pass each way.  Warm fused ``dgefmm``
+with every product in place, relative to the batched design
+(``strassen1``, Xeon host with OpenBLAS on one thread; median of ten
+alternating runs, each the median of 41 calls, 15 at order 1024)::
 
-Numerics: both the batched and the direct ``np.matmul`` apply the BLAS
-kernel, which differs from the tiled-``einsum`` substrate kernel (and
-may differ from a strided vendor call) in accumulation order only.
-Fused execution is therefore *deterministic* (same plan, same operands,
-same bits every replay) but is checked against the reference with the
-oracle's standard dtype tolerance rather than bit-compared against the
-interpreted path; the compensated elementwise chains stay bit-identical.
-That is why ``fuse`` is a :class:`~repro.core.config.GemmConfig` field:
-it keys :class:`~repro.plan.compiler.PlanSignature`, so fused and
-interpreted plans can never collide in one cache.
+    order  cutoff  all-direct / batched
+       64      16  0.89
+      128      16  0.89
+      256      32  0.90
+      512      64  0.90
+     1024     128  0.92
+
+A product may write straight into its output view only when that view
+provably aliases neither input and ``beta == 0``; ``safe`` records the
+first condition at compile time (see :func:`_overlaps`).  Otherwise the
+product lands in one scratch slot past the plan's temporaries, sized
+for the largest product, and is combined into the output with
+``dgemm``'s scalar arithmetic order.
+
+Numerics: the direct ``np.matmul`` applies the BLAS kernel, which
+differs from the tiled-``einsum`` substrate kernel (and may differ from
+a strided vendor call) in accumulation order only.  Fused execution is
+therefore *deterministic* (same plan, same operands, same bits every
+replay) but is checked against the reference with the oracle's standard
+dtype tolerance rather than bit-compared against the interpreted path;
+the compensated elementwise chains stay bit-identical.  That is why
+``fuse`` is a :class:`~repro.core.config.GemmConfig` field: it keys
+:class:`~repro.plan.compiler.PlanSignature`, so fused and interpreted
+plans can never collide in one cache.
 
 The fused path runs only for plain numeric replay — no tracing, no dry
 run, no attached machine model (those need per-op hooks); the executor
@@ -63,7 +61,7 @@ falls back to interpreted replay otherwise, from the same plan.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -81,73 +79,56 @@ from repro.plan.ops import (
 )
 
 __all__ = ["FusedProgram", "fuse_plan", "run_fused",
-           "FS_EW", "FS_BATCH", "FS_FIXUP", "OP_PACK", "OP_DIRECT"]
+           "FS_EW", "FS_FIXUP", "OP_DIRECT"]
 
 # fused step kinds (first element of every step tuple)
-FS_EW = 0      # (FS_EW, ops, charges)       inline elementwise run
-FS_BATCH = 1   # (FS_BATCH, group_indices)   execute + scatter batches
-FS_FIXUP = 2   # (FS_FIXUP, fixup_op)        interpreted peel fix-up
-
-#: pseudo-op inside an FS_EW run: copy a queued product's operands into
-#: its group's pack buffers at the op's original stream position
-#: (OP_PACK, gidx, slot, a_idx, b_idx)
-OP_PACK = 7
+FS_EW = 0      # (FS_EW, ops, charges)       inline run
+FS_FIXUP = 1   # (FS_FIXUP, fixup_op)        interpreted peel fix-up
 
 #: pseudo-op inside an FS_EW run: a base-case product executed in place
 #: by one strided ``np.matmul`` — (OP_DIRECT, ai, bi, ci, al, be, safe)
 #: where ``safe`` means the output region provably aliases neither
 #: input, so ``beta == 0`` may write straight into the output view
-OP_DIRECT = 8
+OP_DIRECT = 7
 
 _EW_NAMES = {OP_MADD: "madd", OP_MSUB: "msub",
              OP_ACCUM: "accum", OP_AXPBY: "axpby"}
+#: position of the written region in each elementwise op
+_EW_OUT = {OP_MADD: 3, OP_MSUB: 3, OP_ACCUM: 2, OP_AXPBY: 4}
 
 
 class FusedProgram:
     """A compiled fused replay program for one branch-free plan.
 
-    ``steps`` is the flat step tuple described in the module docstring;
-    ``groups[g]`` is ``(d, m, k, n, alpha, beta, c_indices, a_off,
-    b_off, p_off, muls, adds)`` — ``d`` stacked ``m x k x n`` products
-    sharing one scalar pair, their output region indices, the pack
-    buffer byte offsets inside the (extended) arena (``None`` offsets
-    for ``d == 1`` groups, which execute as ``OP_DIRECT`` instead), and
-    the aggregate flop charge.  ``arena_bytes`` covers the base plan's
-    temporaries *plus* the direct-product scratch (at ``direct_off``)
-    and the pack scratch, laid out by a first-fit allocator over the
-    groups' live ranges; the executor sizes the arena from it when
-    replaying fused.
+    ``steps`` is the flat step tuple described in the module docstring.
+    ``arena_bytes`` covers the base plan's temporaries plus the one
+    direct-product scratch slot at ``direct_off``; the executor sizes
+    the arena from it when replaying fused.  ``groups`` lists batched
+    product groups as ``(d, m, k, n, ...)`` entries for introspection;
+    it is always empty, since every product runs in place.
     """
 
-    __slots__ = ("steps", "groups", "dtype", "arena_bytes", "pack_base",
-                 "pack_bytes", "direct_off", "n_groups", "n_batched",
-                 "n_direct", "max_batch", "_bind_cache")
+    __slots__ = ("steps", "dtype", "arena_bytes", "direct_off",
+                 "n_direct", "_bind_cache")
 
-    def __init__(self, steps, groups, dtype, arena_bytes, pack_base,
-                 pack_bytes, direct_off) -> None:
+    groups: Tuple[tuple, ...] = ()
+
+    def __init__(self, steps, dtype, arena_bytes, direct_off,
+                 n_direct) -> None:
         self.steps: Tuple[tuple, ...] = steps
-        self.groups: Tuple[tuple, ...] = groups
         self.dtype = np.dtype(dtype)
         self.arena_bytes = int(arena_bytes)
-        self.pack_base = int(pack_base)
-        self.pack_bytes = int(pack_bytes)
         self.direct_off = direct_off
-        self.n_groups = len(groups)
-        self.n_batched = sum(1 for g in groups if g[0] > 1)
-        self.n_direct = sum(1 for g in groups if g[0] == 1)
-        self.max_batch = max((g[0] for g in groups), default=0)
-        #: per-arena-buffer cache of bound pack-buffer triples and
-        #: direct-scratch views, keyed by the buffer's id with the
-        #: buffer stored for identity checks (same discipline as
-        #: ExecutionPlan._temp_cache)
+        self.n_direct = n_direct
+        #: per-arena-buffer cache of direct-scratch views, keyed by the
+        #: buffer's id with the buffer stored for identity checks (same
+        #: discipline as ExecutionPlan._temp_cache)
         self._bind_cache: dict = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"FusedProgram({len(self.steps)} steps, "
-            f"{self.n_batched} batched groups (max depth "
-            f"{self.max_batch}), {self.n_direct} direct products, "
-            f"pack {self.pack_bytes}B)"
+            f"{self.n_direct} direct products)"
         )
 
 
@@ -189,317 +170,81 @@ def _overlaps(p: _RegInfo, q: _RegInfo) -> bool:
             and p.c0 < q.c1 and q.c0 < p.c1)
 
 
-def _touched(op: tuple) -> tuple:
-    """Region indices an op reads or writes (hazard set vs pending)."""
-    code = op[0]
-    if code == OP_ACCUM:
-        return (op[1], op[2])
-    if code == OP_AXPBY:
-        return (op[2], op[4])
-    # OP_MADD / OP_MSUB / OP_GEMM all carry three region operands
-    return (op[1], op[2], op[3])
-
-
-class _ScratchAlloc:
-    """Compile-time first-fit allocator for pack scratch.
-
-    Selective flushing lets pack-buffer lifetimes overlap arbitrarily
-    (a group is live from its first pack to its batch step), so the
-    layout pass replays the step stream through this allocator instead
-    of assuming window-at-a-time reuse.  Offsets are 64-byte aligned;
-    ``peak`` is the high-water requirement.
-    """
-
-    __slots__ = ("top", "peak", "free")
-
-    def __init__(self, base: int) -> None:
-        self.top = base
-        self.peak = base
-        self.free: List[list] = []   # sorted disjoint [start, end)
-
-    def alloc(self, nbytes: int) -> int:
-        nbytes = _align_up(nbytes)
-        for i, blk in enumerate(self.free):
-            start, end = blk
-            if end - start >= nbytes:
-                if end - start == nbytes:
-                    self.free.pop(i)
-                else:
-                    blk[0] = start + nbytes
-                return start
-        start = self.top
-        self.top += nbytes
-        if self.top > self.peak:
-            self.peak = self.top
-        return start
-
-    def release(self, off: int, nbytes: int) -> None:
-        nbytes = _align_up(nbytes)
-        end = off + nbytes
-        free = self.free
-        lo, hi = 0, len(free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if free[mid][0] < off:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(free) and free[lo][0] == end:
-            free[lo][0] = off
-        elif lo > 0 and free[lo - 1][1] == off:
-            free[lo - 1][1] = end
-            if lo < len(free) and free[lo][0] == end:
-                free[lo - 1][1] = free[lo][1]
-                free.pop(lo)
-        else:
-            free.insert(lo, [off, end])
-
-
 def fuse_plan(plan) -> FusedProgram:
     """Compile a branch-free :class:`ExecutionPlan` into fused steps."""
     if plan.branches:
         raise ValueError("fuse_plan: parallel plans fuse per branch")
     itemsize = plan.dtype.itemsize
-    info = [_RegInfo(d, itemsize) for d in plan.regions]
     regions = plan.regions
+    info = [_RegInfo(d, itemsize) for d in regions]
 
     steps: List[tuple] = []
-    ew: List[tuple] = []           # current elementwise (+pack) run
-    ew_charge: dict = {}           # kernel -> [calls, adds]
-    groups: List[list] = []        # [d, m, k, n, al, be, c_idx_list]
-    open_groups: dict = {}         # scalar/shape key -> open group idx
-    group_key: dict = {}           # open group idx -> its key
-    window: List[int] = []         # open group indices, oldest first
-    group_outs: dict = {}          # open group idx -> [_RegInfo, ...]
+    run: List[tuple] = []
+    charge: dict = {}   # kernel -> [calls, muls, adds]
+    direct_max = n_direct = 0
 
-    def close_ew() -> None:
-        if not ew:
+    def close_run() -> None:
+        if not run:
             return
         charges = tuple(
-            (name, calls, adds) for name, (calls, adds)
-            in ew_charge.items()
+            (name, calls, muls, adds)
+            for name, (calls, muls, adds) in charge.items()
         )
-        steps.append((FS_EW, tuple(ew), charges))
-        ew.clear()
-        ew_charge.clear()
-
-    def flush(gidxs) -> None:
-        """Execute the given open groups now (packs must precede)."""
-        if not gidxs:
-            return
-        close_ew()
-        batch = tuple(g for g in window if g in gidxs)
-        steps.append((FS_BATCH, batch))
-        for g in batch:
-            window.remove(g)
-            del group_outs[g]
-            del open_groups[group_key.pop(g)]
-
-    def conflicts(region_idxs, own: Optional[int] = None) -> set:
-        """Open groups whose pending outputs overlap the given regions.
-
-        ``own`` exempts one group — a gemm's *output* may stack onto
-        its own group even when it overlaps that group's pending
-        outputs, because the scatter loop replays slices in stream
-        order (RAW/WAR between a gemm and its own group's *inputs* gets
-        no exemption: eager packing would capture stale bytes).
-        """
-        hit = set()
-        for idx in region_idxs:
-            p = info[idx]
-            for g, outs in group_outs.items():
-                if g in hit or g == own:
-                    continue
-                for q in outs:
-                    if _overlaps(p, q):
-                        hit.add(g)
-                        break
-        return hit
+        steps.append((FS_EW, tuple(run), charges))
+        run.clear()
+        charge.clear()
 
     for op in plan.ops_quiet:
         code = op[0]
+        if code == OP_FIXUP:
+            # fix-ups read and write full root windows: barrier
+            close_run()
+            steps.append((FS_FIXUP, op))
+            continue
         if code == OP_GEMM:
             _, ai, bi, ci, al, be = op
             m, k = regions[ai][6], regions[ai][7]
             n = regions[bi][7]
-            # scalars key by class too: the int code 0 (SC_ALPHA) and
-            # the literal 0.0 hash equal but mean different things
-            key = (m, k, n, al.__class__ is int, al,
-                   be.__class__ is int, be)
-            own = open_groups.get(key)
-            # inputs must see every earlier product: no exemption
-            flush(conflicts((ai, bi), None)
-                  | conflicts((ci,), own))
-            gidx = open_groups.get(key)   # own may have been flushed
-            if gidx is None:
-                gidx = len(groups)
-                groups.append([0, m, k, n, al, be, []])
-                open_groups[key] = gidx
-                group_key[gidx] = key
-                window.append(gidx)
-                group_outs[gidx] = []
-            g = groups[gidx]
-            slot = g[0]
-            g[0] = slot + 1
-            g[6].append(ci)
-            ew.append((OP_PACK, gidx, slot, ai, bi))
-            group_outs[gidx].append(info[ci])
-        elif code == OP_FIXUP:
-            # fix-ups read and write full root windows: barrier
-            flush(set(window))
-            close_ew()
-            steps.append((FS_FIXUP, op))
-        else:
-            flush(conflicts(_touched(op)))
-            out_idx = op[4] if code == OP_AXPBY else (
-                op[2] if code == OP_ACCUM else op[3]
-            )
-            rows, cols = regions[out_idx][6], regions[out_idx][7]
-            entry = ew_charge.setdefault(_EW_NAMES[code], [0, 0.0])
-            entry[0] += 1
-            entry[1] += float(rows) * cols
-            ew.append(op)
-    flush(set(window))
-    close_ew()
-
-    # -- pass 2: demote singleton groups to in-place direct products --- #
-    # A group that never found a partner gains nothing from packing (two
-    # slice copies + a scatter to save zero calls), so its one product
-    # executes inline at its *original* stream position — always legal,
-    # since that is exactly the interpreted order.  Empty FS_BATCH steps
-    # disappear and the neighbouring elementwise runs merge.
-    steps2: List[tuple] = []
-    ew2: List[tuple] = []
-    charge2: dict = {}   # kernel -> [calls, muls, adds]
-    direct_max = 0
-
-    def close_ew2() -> None:
-        if not ew2:
-            return
-        charges = tuple(
-            (name, calls, muls, adds)
-            for name, (calls, muls, adds) in charge2.items()
-        )
-        steps2.append((FS_EW, tuple(ew2), charges))
-        ew2.clear()
-        charge2.clear()
-
-    for step in steps:
-        if step[0] == FS_EW:
-            for name, calls, adds in step[2]:
-                entry = charge2.setdefault(name, [0, 0.0, 0.0])
-                entry[0] += calls
-                entry[2] += adds
-            for op in step[1]:
-                if op[0] != OP_PACK:
-                    ew2.append(op)
-                    continue
-                gidx = op[1]
-                g = groups[gidx]
-                if g[0] > 1:
-                    ew2.append(op)
-                    continue
-                ai, bi = op[3], op[4]
-                ci = g[6][0]
-                safe = (not _overlaps(info[ci], info[ai])
-                        and not _overlaps(info[ci], info[bi]))
-                ew2.append((OP_DIRECT, ai, bi, ci, g[4], g[5], safe))
-                m, k, n = g[1], g[2], g[3]
-                muls, adds = gemm_flops(m, k, n)
-                entry = charge2.setdefault("dgemm", [0, 0.0, 0.0])
-                entry[0] += 1
-                entry[1] += muls
-                entry[2] += adds
-                if m * n * itemsize > direct_max:
-                    direct_max = m * n * itemsize
-        elif step[0] == FS_BATCH:
-            kept = tuple(g for g in step[1] if groups[g][0] > 1)
-            if kept:
-                close_ew2()
-                steps2.append((FS_BATCH, kept))
-        else:
-            close_ew2()
-            steps2.append(step)
-    close_ew2()
-
-    # -- layout: direct scratch first, then pack buffers by liveness --- #
-    # A batched group's scratch is live from its first pack to its
-    # batch, and selective flushing makes those intervals overlap, so
-    # offsets come from a first-fit allocator replaying the steps.  The
-    # direct-product scratch is transient within a single OP_DIRECT and
-    # gets one permanent slot sized for the largest product.
-    pack_base = _align_up(plan.arena_bytes)
-    direct_off = pack_base if direct_max else None
-    alloc = _ScratchAlloc(pack_base + _align_up(direct_max))
-    offsets: dict = {}
-    final_groups: List[Optional[tuple]] = [None] * len(groups)
-    for step in steps2:
-        if step[0] == FS_EW:
-            for op in step[1]:
-                if op[0] == OP_PACK and op[2] == 0:
-                    gidx = op[1]
-                    d, m, k, n = groups[gidx][:4]
-                    offsets[gidx] = (
-                        alloc.alloc(d * m * k * itemsize),
-                        alloc.alloc(d * k * n * itemsize),
-                        alloc.alloc(d * m * n * itemsize),
-                    )
-        elif step[0] == FS_BATCH:
-            for gidx in step[1]:
-                d, m, k, n, al, be, c_idx = groups[gidx]
-                a_off, b_off, p_off = offsets.pop(gidx)
-                muls, adds = gemm_flops(m, k, n)
-                final_groups[gidx] = (
-                    d, m, k, n, al, be, tuple(c_idx),
-                    a_off, b_off, p_off, muls * d, adds * d,
-                )
-                alloc.release(a_off, d * m * k * itemsize)
-                alloc.release(b_off, d * k * n * itemsize)
-                alloc.release(p_off, d * m * n * itemsize)
-    for gidx, g in enumerate(groups):
-        if g[0] == 1:
-            d, m, k, n, al, be, c_idx = g
+            safe = (not _overlaps(info[ci], info[ai])
+                    and not _overlaps(info[ci], info[bi]))
+            run.append((OP_DIRECT, ai, bi, ci, al, be, safe))
+            name = "dgemm"
             muls, adds = gemm_flops(m, k, n)
-            final_groups[gidx] = (
-                d, m, k, n, al, be, tuple(c_idx),
-                None, None, None, muls, adds,
-            )
+            n_direct += 1
+            direct_max = max(direct_max, m * n * itemsize)
+        else:
+            run.append(op)
+            name = _EW_NAMES[code]
+            rows, cols = regions[op[_EW_OUT[code]]][6:8]
+            muls, adds = 0.0, float(rows) * cols
+        entry = charge.setdefault(name, [0, 0.0, 0.0])
+        entry[0] += 1
+        entry[1] += muls
+        entry[2] += adds
+    close_run()
 
-    pack_bytes = alloc.peak - pack_base
-    return FusedProgram(
-        tuple(steps2), tuple(final_groups), plan.dtype,
-        pack_base + pack_bytes, pack_base, pack_bytes, direct_off,
-    )
+    # the direct-product scratch is transient within a single OP_DIRECT,
+    # so one slot sized for the largest product serves them all
+    direct_off = _align_up(plan.arena_bytes) if direct_max else None
+    arena_bytes = (direct_off + _align_up(direct_max) if direct_max
+                   else plan.arena_bytes)
+    return FusedProgram(tuple(steps), plan.dtype, arena_bytes,
+                        direct_off, n_direct)
 
 
 # ---------------------------------------------------------------------- #
 # fused replay
 # ---------------------------------------------------------------------- #
-def _bind_group(g: tuple, buf, dtype) -> tuple:
-    """C-ordered (d, m, k)/(d, k, n)/(d, m, n) stacks over the arena."""
-    d, m, k, n = g[0], g[1], g[2], g[3]
-    a_off, b_off, p_off = g[7], g[8], g[9]
-    item = dtype.itemsize
-    pa = buf[a_off:a_off + d * m * k * item].view(dtype).reshape(
-        (d, m, k))
-    pb = buf[b_off:b_off + d * k * n * item].view(dtype).reshape(
-        (d, k, n))
-    pp = buf[p_off:p_off + d * m * n * item].view(dtype).reshape(
-        (d, m, n))
-    return pa, pb, pp
-
-
 def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
               buf) -> None:
     """Replay a fused program over the resolved region table ``v``.
 
     ``st`` is the executor's scalar table ``(alpha, -alpha, beta,
     -beta)``; ``buf`` the arena buffer (sized to ``fp.arena_bytes`` so
-    the pack scratch exists past the base plan's temporaries).  Only
+    the direct scratch exists past the base plan's temporaries).  Only
     called for plain numeric contexts (no trace/dry/machine) — the
     aggregate charges below then equal the interpreted path's exactly.
     """
-    groups = fp.groups
     dtype = fp.dtype
     cache = fp._bind_cache
     entry = cache.get(id(buf))
@@ -511,8 +256,7 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
     bound = entry[1]
 
     for step in fp.steps:
-        code = step[0]
-        if code == FS_EW:
+        if step[0] == FS_EW:
             for op in step[1]:
                 oc = op[0]
                 if oc == OP_MADD:
@@ -550,15 +294,6 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
                             y += v[xi]
                         elif al != 0.0:
                             y += al * v[xi]
-                elif oc == OP_PACK:
-                    _, gidx, slot, ai, bi = op
-                    trip = bound.get(gidx)
-                    if trip is None:
-                        trip = bound[gidx] = _bind_group(
-                            groups[gidx], buf, dtype
-                        )
-                    trip[0][slot] = v[ai]
-                    trip[1][slot] = v[bi]
                 else:  # OP_DIRECT
                     _, ai, bi, ci, al, be, safe = op
                     al = st[al] if al.__class__ is int else al
@@ -590,31 +325,6 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
                             cv += s
             for name, calls, muls, adds in step[2]:
                 ctx.charge_many(name, calls, muls=muls, adds=adds)
-        elif code == FS_BATCH:
-            for gidx in step[1]:
-                g = groups[gidx]
-                d = g[0]
-                al, be = g[4], g[5]
-                c_idx = g[6]
-                pa, pb, pp = bound[gidx]
-                np.matmul(pa, pb, out=pp)
-                al = st[al] if al.__class__ is int else al
-                be = st[be] if be.__class__ is int else be
-                # scatter with dgemm's scalar arithmetic order
-                if al != 1.0:
-                    pp *= al
-                if be == 0.0:
-                    for i in range(d):
-                        v[c_idx[i]][...] = pp[i]
-                elif be == 1.0:
-                    for i in range(d):
-                        v[c_idx[i]] += pp[i]
-                else:
-                    for i in range(d):
-                        cv = v[c_idx[i]]
-                        cv *= be
-                        cv += pp[i]
-                ctx.charge_many("dgemm", d, muls=g[10], adds=g[11])
         else:  # FS_FIXUP
             op = step[1]
             _, ai, bi, ci, al, be, side, divisors = op

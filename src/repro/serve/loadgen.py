@@ -86,8 +86,8 @@ def _reference(case: FuzzCase, a, b, c, *,
     reference does the same, so bit-identity is the plan-replay
     guarantee and nothing else.  Under ``fuse`` the reference runs
     through the fused plan path too (fused replay is deterministic but
-    not bit-identical to the recursive driver — the batched kernel's
-    accumulation order differs), so the monitor keeps asserting exact
+    not bit-identical to the recursive driver — the ``np.matmul``
+    kernel's accumulation order differs), so the monitor keeps asserting exact
     equality rather than a tolerance.
     """
     alpha, beta = case.scalars()

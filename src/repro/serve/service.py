@@ -391,8 +391,9 @@ class GemmService:
                 plan = self.plan_cache.get_or_compile(sig)
                 arena = self.pool.checkout()
                 pooled = True
-                # fused replay binds pack scratch past the interpreted
-                # arena top, so pre-warm with the larger requirement
+                # fused replay binds its product scratch slot past the
+                # interpreted arena top, so pre-warm with the larger
+                # requirement
                 need = (plan.fused.arena_bytes if plan.fused is not None
                         else plan.arena_bytes)
                 if need:

@@ -103,3 +103,88 @@ class TestDger:
         ctx = ExecutionContext(dry=True)
         dger(Phantom(7), Phantom(5), Phantom(7, 5), ctx=ctx)
         assert ctx.mul_flops == 35 and ctx.add_flops == 35
+
+
+def _ger_reference(x, y, a, alpha):
+    """The whole-matrix formula DGER replaced: one outer temporary."""
+    outer = np.multiply.outer(x, y)
+    if alpha != 1.0:
+        outer *= alpha
+    a += outer
+
+
+def _operand(rng, shape, dtype):
+    x = rng.standard_normal(shape)
+    if dtype == "complex128":
+        x = x + 1j * rng.standard_normal(shape)
+    elif dtype == "int64":
+        x = np.round(8 * x)
+    return x.astype(dtype)
+
+
+def _layout(z, layout):
+    """``z`` as an F-ordered, C-ordered or strided-window matrix."""
+    if layout == "F":
+        return np.asfortranarray(z)
+    if layout == "C":
+        return np.ascontiguousarray(z)
+    m, n = z.shape
+    big = np.zeros((2 * m + 3, 3 * n + 2), dtype=z.dtype, order="F")
+    win = big[1:2 * m + 1:2, 2:3 * n + 2:3]
+    win[...] = z
+    return win
+
+
+class TestDgerBitIdentity:
+    """The blocked kernel equals the whole-matrix formula bit for bit,
+    including which inputs it refuses (int64 with a float alpha)."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "complex128",
+                                       "int64", "object"])
+    @pytest.mark.parametrize("layout", ["F", "C", "window"])
+    # 0.3 is inexact, so x*(y*alpha) would differ from (x*y)*alpha
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, -1.0, 0.3])
+    @pytest.mark.parametrize("m,n", [(1, 9), (9, 1), (300, 250)])
+    def test_matches_outer_formula(self, rng, dtype, layout, alpha, m, n):
+        x = _operand(rng, m, dtype)
+        y = _operand(rng, n, dtype)
+        z = _operand(rng, (m, n), dtype)
+        a, expect = _layout(z, layout), _layout(z, layout)
+        try:
+            _ger_reference(x, y, expect, alpha)
+        except TypeError as exc:
+            before = a.copy()
+            with pytest.raises(type(exc)):
+                dger(x, y, a, alpha)
+            np.testing.assert_array_equal(a, before)
+            return
+        dger(x, y, a, alpha)
+        assert a.dtype == expect.dtype
+        if dtype == "object":
+            assert a.tolist() == expect.tolist()
+        else:
+            assert (np.ascontiguousarray(a).tobytes()
+                    == np.ascontiguousarray(expect).tobytes())
+
+    @pytest.mark.parametrize("side", ["tail", "head"])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_fixups_at_odd_order(self, rng, monkeypatch, side, order):
+        from repro.core import peeling
+
+        m, k, n = 201, 199, 203
+        a = _layout(rng.standard_normal((m, k)), order)
+        b = _layout(rng.standard_normal((k, n)), order)
+        c0 = _layout(rng.standard_normal((m, n)), order)
+        fix = (peeling.apply_fixups if side == "tail"
+               else peeling.apply_fixups_head)
+
+        def reference_dger(x, y, a, alpha=1.0, *, ctx=None):
+            _ger_reference(x, y, a, alpha)
+            return a
+
+        c_new = c0.copy(order="K")
+        fix(a, b, c_new, 0.3, 0.75)
+        c_ref = c0.copy(order="K")
+        monkeypatch.setattr(peeling, "dger", reference_dger)
+        fix(a, b, c_ref, 0.3, 0.75)
+        assert c_new.tobytes(order="A") == c_ref.tobytes(order="A")

@@ -9,14 +9,16 @@ The contract under test, in decreasing strictness:
    charging of identical per-op tallies).
 3. **Reference tolerance** — fused results match the numpy reference
    within the oracle's dtype tolerance.  Fused execution is *not*
-   bit-compared to the interpreted stream: the batched/direct
-   ``np.matmul`` kernel accumulates in a different order than the tiled
+   bit-compared to the interpreted stream: the direct ``np.matmul``
+   kernel accumulates in a different order than the tiled
    substrate kernel, the one documented divergence.
 4. **Edge semantics** — ``beta == 0`` NaN-overwrite, ``alpha == 0``
    skip, zero-dim early-outs, and operand aliasing hold through the
    fused driver path exactly as ``tests/test_blas_conformance.py`` pins
    them for the interpreted path.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,12 +28,13 @@ from repro.core.config import GemmConfig
 from repro.core.cutoff import SimpleCutoff
 from repro.core.dgefmm import dgefmm
 from repro.core.parallel import pdgefmm
+from repro.core.pool import _align_up
 from repro.core.schemes import SCHEME_NAMES
 from repro.errors import ArgumentError
 from repro.plan import PlanCache, compile_plan, execute_plan, fuse_plan
 from repro.plan.compiler import signature_for
-from repro.plan.fuse import FS_BATCH, FS_EW, OP_DIRECT, OP_PACK
-from repro.plan.ops import OP_GEMM
+from repro.plan.fuse import FS_EW, OP_DIRECT, run_fused
+from repro.plan.ops import OP_GEMM, ROOT_B, ROOT_TEMP
 
 CUT = SimpleCutoff(8)
 
@@ -72,28 +75,27 @@ class TestFusionPass:
         assert compile_plan(_sig(16, 16, 16, fuse=False)).fused is None
         fused = compile_plan(_sig(16, 16, 16)).fused
         assert fused is not None
-        assert fused.n_groups == fused.n_batched + fused.n_direct
+        assert fused.groups == ()
 
     def test_every_gemm_appears_exactly_once(self):
-        """Products are partitioned: each OP_GEMM of the interpreted
-        stream becomes one batch slot or one OP_DIRECT — never both,
-        never dropped."""
+        """Each OP_GEMM of the interpreted stream becomes exactly one
+        OP_DIRECT, in stream order — never batched, never dropped."""
         for m, k, n in SHAPES:
             plan = compile_plan(_sig(m, k, n))
-            n_gemm = sum(1 for op in plan.ops_quiet if op[0] == OP_GEMM)
-            fused = plan.fused
-            slots = sum(g[0] for g in fused.groups if g[0] > 1)
-            directs = sum(
-                1 for s in fused.steps if s[0] == FS_EW
-                for op in s[1] if op[0] == OP_DIRECT
-            )
-            packs = sum(
-                1 for s in fused.steps if s[0] == FS_EW
-                for op in s[1] if op[0] == OP_PACK
-            )
-            assert slots == packs       # every batched product packs once
-            assert slots + directs == n_gemm
-            assert fused.max_batch >= 2 or fused.n_batched == 0
+            gemms = [op[1:] for op in plan.ops_quiet if op[0] == OP_GEMM]
+            directs = [op[1:6] for s in plan.fused.steps if s[0] == FS_EW
+                       for op in s[1] if op[0] == OP_DIRECT]
+            assert directs == gemms
+            assert plan.fused.n_direct == len(gemms)
+            # ... and at its original position among the other ops
+            flat = []
+            for step in plan.fused.steps:
+                if step[0] != FS_EW:
+                    flat.append(step[1])
+                    continue
+                flat += [(OP_GEMM,) + op[1:6] if op[0] == OP_DIRECT else op
+                         for op in step[1]]
+            assert flat == list(plan.ops_quiet)
 
     def test_elementwise_order_preserved(self):
         """Non-gemm ops keep their exact relative order across runs."""
@@ -101,31 +103,65 @@ class TestFusionPass:
         interp = [op for op in plan.ops_quiet
                   if op[0] != OP_GEMM and op[0] != 6]  # minus OP_EVENT
         fused = [op for s in plan.fused.steps if s[0] == FS_EW
-                 for op in s[1] if op[0] not in (OP_PACK, OP_DIRECT)]
+                 for op in s[1] if op[0] != OP_DIRECT]
         assert fused == interp
 
-    def test_batch_follows_every_pack(self):
-        """A group's FS_BATCH step comes after all its OP_PACK ops."""
-        fused = compile_plan(_sig(48, 48, 48, cutoff=SimpleCutoff(12))).fused
-        packed = set()
-        for step in fused.steps:
-            if step[0] == FS_EW:
-                for op in step[1]:
-                    if op[0] == OP_PACK:
-                        packed.add(op[1])
-            elif step[0] == FS_BATCH:
-                for gidx in step[1]:
-                    assert gidx in packed
-                    d = fused.groups[gidx][0]
-                    assert d > 1    # singletons were demoted in pass 2
+    def test_safe_false_when_output_overlaps_input(self):
+        """``safe`` is False whenever the output region may overlap an
+        input, and replay then still computes through the scratch slot.
+
+        No scheme emits such a product, so a hand-built stream drives
+        it: ``T <- T @ B`` overlaps within one allocation, ``U <- B @ B``
+        overlaps nothing, and ``V <- U @ B`` writes arena bytes that
+        ``U`` (another allocation) also covers.
+        """
+        t = (ROOT_TEMP, 0, 4, 4, 0, 0, 4, 4)
+        u = (ROOT_TEMP, 256, 4, 4, 0, 0, 4, 4)
+        v = (ROOT_TEMP, 320, 4, 4, 0, 0, 4, 4)
+        b = (ROOT_B, 0, 4, 4, 0, 0, 4, 4)
+        plan = SimpleNamespace(
+            branches=(), dtype=np.dtype("float64"), arena_bytes=448,
+            regions=(t, u, v, b),
+            ops_quiet=((OP_GEMM, 0, 3, 0, 1.0, 0.0),
+                       (OP_GEMM, 3, 3, 1, 1.0, 0.0),
+                       (OP_GEMM, 1, 3, 2, 1.0, 0.0)),
+        )
+        fused = fuse_plan(plan)
+        assert [op[6] for s in fused.steps for op in s[1]] == [
+            False, True, False]
+        assert fused.direct_off == _align_up(448)
+        assert fused.arena_bytes == _align_up(448) + _align_up(16 * 8)
+
+        buf = np.zeros(fused.arena_bytes, dtype=np.uint8)
+        arena = buf[:448].view(np.float64)
+        views = [arena[off:off + 16].reshape((4, 4), order="F")
+                 for off in (0, 32, 40)]
+        rng = np.random.default_rng(5)
+        views[0][...] = rng.standard_normal((4, 4))
+        bm = np.asfortranarray(rng.standard_normal((4, 4)))
+        expect_t = views[0] @ bm
+        expect_v = (bm @ bm) @ bm
+        ctx = ExecutionContext()
+        run_fused(fused, views + [bm], (1.0, -1.0, 0.0, -0.0), ctx, buf)
+        np.testing.assert_allclose(views[0], expect_t, rtol=1e-12)
+        np.testing.assert_allclose(views[2], expect_v, rtol=1e-12)
+        assert ctx.kernel_calls["dgemm"] == 3
 
     def test_arena_extends_past_plan_bytes(self):
-        plan = compile_plan(_sig(32, 32, 32))
-        fused = plan.fused
-        assert fused.arena_bytes >= plan.arena_bytes
-        assert fused.pack_base >= plan.arena_bytes
-        if fused.n_batched:
-            assert fused.pack_bytes > 0
+        """The fused arena is the plan's plus at most one aligned slot
+        for the largest product."""
+        for m, k, n in SHAPES:
+            plan = compile_plan(_sig(m, k, n))
+            largest = max(
+                plan.regions[op[3]][6] * plan.regions[op[3]][7]
+                for op in plan.ops_quiet if op[0] == OP_GEMM
+            ) * plan.dtype.itemsize
+            fused = plan.fused
+            assert fused.arena_bytes >= plan.arena_bytes
+            assert (fused.arena_bytes
+                    <= _align_up(plan.arena_bytes) + _align_up(largest))
+            if fused.direct_off is not None:
+                assert fused.direct_off >= plan.arena_bytes
 
     def test_parallel_plan_children_fused(self):
         cfg = GemmConfig(cutoff=CUT, fuse=True)
