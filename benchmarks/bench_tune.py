@@ -24,9 +24,8 @@ import time
 import numpy as np
 
 from benchmarks.conftest import emit, emit_json
-from repro.core.dgefmm import dgefmm
 from repro.plan import PlanCache
-from repro.serve import GemmService
+from repro.serve import GemmService, reference_output
 from repro.tune import ProfileStore, measure_crossover, tune_class
 
 ORDER = 200
@@ -74,15 +73,13 @@ def test_tune_loop(benchmark, tmp_path):
     t_tuned, outs, stats = _serve_burst(reqs, store=swapped)
 
     # bit-exactness of every tuned response vs direct dgefmm
-    cfg = prof.to_config()
+    cfg = prof.config
     cache = PlanCache(max_plans=8)
-    exact = 0
-    for (a, b), got in zip(reqs, outs):
-        want = np.zeros((ORDER, ORDER), order="F")
-        dgefmm(a, b, want, cutoff=cfg.cutoff, scheme=cfg.scheme,
-               peel=cfg.peel, nb=cfg.nb, backend=cfg.backend,
-               plan_cache=cache, fuse=cfg.fuse)
-        exact += np.array_equal(got, want)
+    exact = sum(
+        np.array_equal(got, reference_output(a, b, config=cfg,
+                                             plan_cache=cache))
+        for (a, b), got in zip(reqs, outs)
+    )
 
     ratio = t_default / t_tuned
     meas = prof.measured
@@ -112,8 +109,8 @@ def test_tune_loop(benchmark, tmp_path):
         "Autotune: predictor error and tuned-vs-default serving",
         f"crossover: {cross_line}; predicted opcount {pred['opcount']}, "
         f"traffic {pred['traffic']}\n"
-        f"tuned config: {prof.scheme}/{prof.peel}, {prof.cutoff!r}, "
-        f"nb={prof.nb}, fuse={prof.fuse} "
+        f"tuned config: {cfg.scheme}/{cfg.peel}, {cfg.cutoff!r}, "
+        f"nb={cfg.nb}, fuse={cfg.fuse} "
         f"(probe speedup {meas['speedup']:.2f}x in {meas['spent_s']:.1f} s)\n"
         f"serving {len(reqs)} x {ORDER}^3: default "
         f"{len(reqs) / t_default:.1f} req/s, tuned "

@@ -780,9 +780,10 @@ def _cmd_tune_search(args) -> int:
             [prof.to_json()], saved=saved,
         )
         return 0
+    cfg = prof.config
     print(f"class {prof.key}: winner "
-          f"{prof.scheme}/{prof.peel}, {prof.cutoff!r}, nb={prof.nb}, "
-          f"fuse={prof.fuse}")
+          f"{cfg.scheme}/{cfg.peel}, {cfg.cutoff!r}, nb={cfg.nb}, "
+          f"fuse={cfg.fuse}")
     print(f"  tuned {meas['tuned_s'] * 1e3:.2f} ms vs default "
           f"{meas['default_s'] * 1e3:.2f} ms "
           f"(speedup {meas['speedup']:.2f}x) in {meas['spent_s']:.1f} s "

@@ -9,7 +9,7 @@ direct in-process computation of the same operands.  Any divergence
 means the transport corrupted, re-ordered, or re-computed something:
 serialization is not allowed to cost even one ulp.
 
-The reference is :func:`repro.serve.loadgen._reference` — the service
+The reference is :func:`repro.serve.reference_output` — the service
 output contract (``beta == 0`` outputs start from Fortran-ordered
 zeros; ``beta != 0`` from a copy of C) — so the equality asserted here
 is the plan-replay guarantee end to end over the wire.
@@ -33,10 +33,11 @@ import numpy as np
 
 from repro.api.client import GemmClient
 from repro.api.protocol import WIRE_DTYPES
+from repro.core.config import GemmConfig
 from repro.core.cutoff import SimpleCutoff
 from repro.fuzz.cases import FuzzCase, case_to_dict, draw_case, materialize
 from repro.fuzz.runner import FuzzReport
-from repro.serve.loadgen import _reference
+from repro.serve import reference_output
 
 __all__ = ["run_wire_fuzz", "draw_wire_cases"]
 
@@ -152,7 +153,13 @@ def run_wire_fuzz(
             aF = np.asarray(a, order="F")
             bF = np.asarray(b, order="F")
             cF = np.asarray(c, order="F")
-            expected = _reference(case, aF, bF, cF)
+            cfg = GemmConfig(
+                cutoff=SimpleCutoff(case.tau), scheme=case.scheme,
+                peel=case.peel, dtype=case.dtype, accuracy=case.accuracy,
+            )
+            expected = reference_output(aF, bF, cF, alpha, beta,
+                                        case.transa, case.transb,
+                                        config=cfg)
             fut = client.submit(
                 a, b, c if beta != 0 else None, alpha, beta,
                 case.transa, case.transb,

@@ -170,10 +170,10 @@ class ExecutionContext:
 
         ``muls``/``adds`` are the *aggregate* tallies across all the
         calls.  The fused plan replay loop (:mod:`repro.plan.fuse`)
-        charges each elementwise run and each batched product group
-        once through here; because every tally is an integer-valued
-        float well below 2**53, the aggregate sums equal the per-call
-        sums bit-for-bit.  No model time is charged — fused replay is
+        charges each inline run's per-kernel totals — its elementwise
+        ops and in-place products alike — once through here; because
+        every tally is an integer-valued float well below 2**53, the
+        aggregate sums equal the per-call sums bit-for-bit.  No model time is charged — fused replay is
         gated off when a machine model is attached.
         """
         if self._lock is not None:

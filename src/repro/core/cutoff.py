@@ -36,7 +36,6 @@ multiplications.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 __all__ = [
@@ -207,9 +206,7 @@ class DepthCutoff(CutoffCriterion):
     depth-controlled recursion.  Since the traversal passes the current
     depth to :meth:`stop`, this criterion is as frozen and shareable as
     every other — including across the concurrent recursions of
-    :func:`~repro.core.parallel.pdgefmm`.  (It was once stateful, with
-    the driver calling ``descend``/``ascend`` around each level; those
-    methods remain as deprecated no-ops for one release.)
+    :func:`~repro.core.parallel.pdgefmm`.
     """
 
     depth: int
@@ -220,19 +217,3 @@ class DepthCutoff(CutoffCriterion):
 
     def stop(self, m: int, k: int, n: int, depth: int = 0) -> bool:
         return depth >= self.depth
-
-    def descend(self) -> None:
-        """Deprecated no-op (depth is now an argument of :meth:`stop`)."""
-        warnings.warn(
-            "DepthCutoff.descend() is deprecated and does nothing; "
-            "depth is passed to stop() directly",
-            DeprecationWarning, stacklevel=2,
-        )
-
-    def ascend(self) -> None:
-        """Deprecated no-op (depth is now an argument of :meth:`stop`)."""
-        warnings.warn(
-            "DepthCutoff.ascend() is deprecated and does nothing; "
-            "depth is passed to stop() directly",
-            DeprecationWarning, stacklevel=2,
-        )

@@ -14,9 +14,11 @@ Entry points:
 - :class:`GemmService` — the engine (``submit``/``call``/``stats``).
 - :func:`run_load` — open-loop load generator with bit-identity
   verification against direct ``dgefmm`` (``python -m repro serve``).
+- :func:`reference_output` — that direct ``dgefmm`` reference under a
+  ``GemmConfig``, output laid out like the service's.
 """
 
-from repro.serve.loadgen import build_mix, run_load
+from repro.serve.loadgen import build_mix, reference_output, run_load
 from repro.serve.metrics import Counter, Histogram, MetricsRegistry
 from repro.serve.queue import POLICIES, AdmissionQueue
 from repro.serve.request import GemmFuture, GemmRequest
@@ -32,5 +34,6 @@ __all__ = [
     "MetricsRegistry",
     "POLICIES",
     "build_mix",
+    "reference_output",
     "run_load",
 ]

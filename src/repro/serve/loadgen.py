@@ -27,6 +27,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.blas.validate import opshape
+from repro.core.config import GemmConfig
 from repro.core.cutoff import SimpleCutoff
 from repro.core.dgefmm import dgefmm
 from repro.errors import ServiceOverloaded, ServiceTimeout
@@ -34,7 +36,7 @@ from repro.fuzz.cases import FuzzCase, draw_case, materialize
 from repro.plan.cache import PlanCache
 from repro.serve.service import GemmService
 
-__all__ = ["build_mix", "run_load"]
+__all__ = ["build_mix", "reference_output", "run_load"]
 
 
 def build_mix(
@@ -76,30 +78,38 @@ def build_mix(
     return mix
 
 
-def _reference(case: FuzzCase, a, b, c, *,
-               fuse: bool = False,
-               plan_cache: Optional[PlanCache] = None) -> np.ndarray:
-    """Direct dgefmm on operands materialized exactly like the service.
+def reference_output(
+    a: Any,
+    b: Any,
+    c: Optional[Any] = None,
+    alpha: Any = 1.0,
+    beta: Any = 0.0,
+    transa: bool = False,
+    transb: bool = False,
+    *,
+    config: GemmConfig,
+    plan_cache: Optional[PlanCache] = None,
+) -> np.ndarray:
+    """Direct dgefmm under ``config``, output laid out like the service's.
 
     The service starts ``beta == 0`` outputs from Fortran-ordered zeros
-    and ``beta != 0`` outputs from a plain copy of the caller's C; the
-    reference does the same, so bit-identity is the plan-replay
-    guarantee and nothing else.  Under ``fuse`` the reference runs
-    through the fused plan path too (fused replay is deterministic but
-    not bit-identical to the recursive driver — the ``np.matmul``
-    kernel's accumulation order differs), so the monitor keeps asserting exact
-    equality rather than a tolerance.
+    of the config's dtype and ``beta != 0`` outputs from a plain copy of
+    the caller's C; the reference does the same, so bit-identity is the
+    plan-replay guarantee and nothing else.  Pass ``plan_cache`` to run
+    through the plan path — required for a fused ``config`` (fused
+    replay is deterministic but not bit-identical to the recursive
+    driver: the ``np.matmul`` kernel's accumulation order differs), so
+    monitors keep asserting exact equality rather than a tolerance.
     """
-    alpha, beta = case.scalars()
     if beta != 0.0:
         out = np.array(c, copy=True)
     else:
-        dt = np.result_type(a, b)
-        out = np.zeros((case.m, case.n), dtype=dt, order="F")
-    kwargs = {"plan_cache": plan_cache, "fuse": True} if fuse else {}
-    dgefmm(a, b, out, alpha, beta, case.transa, case.transb,
-           cutoff=SimpleCutoff(case.tau), scheme=case.scheme,
-           peel=case.peel, accuracy=case.accuracy, **kwargs)
+        out = np.zeros((opshape(a, transa)[0], opshape(b, transb)[1]),
+                       dtype=config.dtype, order="F")
+    knobs = {f.name: getattr(config, f.name)
+             for f in dataclasses.fields(config) if f.name != "dtype"}
+    dgefmm(a, b, out, alpha, beta, transa, transb,
+           plan_cache=plan_cache, **knobs)
     return out
 
 
@@ -154,8 +164,15 @@ def run_load(
             b = np.asarray(b, order="F")
             c = np.asarray(c, order="F")
         operands.append((a, b, c))
+        alpha, beta = case.scalars()
+        cfg = GemmConfig(
+            cutoff=SimpleCutoff(case.tau), scheme=case.scheme,
+            peel=case.peel, fuse=fuse, dtype=case.dtype,
+            accuracy=case.accuracy,
+        )
         expected.append(
-            _reference(case, a, b, c, fuse=fuse, plan_cache=ref_cache)
+            reference_output(a, b, c, alpha, beta, case.transa,
+                             case.transb, config=cfg, plan_cache=ref_cache)
             if verify else None
         )
 

@@ -26,14 +26,13 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.blas.level3 import DEFAULT_TILE
+from repro.blas.dtypes import canonical_dtype
 from repro.blas.validate import opshape, require_matrix
 from repro.core.config import GemmConfig
-from repro.core.cutoff import CutoffCriterion
 from repro.errors import ArgumentError, DimensionError, ServiceTimeout
 from repro.plan.compiler import signature_for
 
-__all__ = ["GemmFuture", "GemmRequest"]
+__all__ = ["GemmFuture", "GemmRequest", "request_dtype"]
 
 
 class GemmFuture:
@@ -94,6 +93,20 @@ class GemmFuture:
         self._event.set()
 
 
+def request_dtype(a: Any, b: Any, c: Optional[Any] = None) -> str:
+    """The canonical dtype a request computes in.
+
+    C's dtype when a C operand is given, else the promotion of A's and
+    B's.  Raises :class:`~repro.errors.ArgumentError` for non-matrix
+    A/B and for dtypes outside :data:`repro.blas.dtypes.DTYPES`.
+    """
+    require_matrix("GemmService.submit", "a", a)
+    require_matrix("GemmService.submit", "b", b)
+    return canonical_dtype(
+        np.result_type(a, b) if c is None else np.asarray(c).dtype
+    )
+
+
 class GemmRequest:
     """One validated GEMM problem queued for service.
 
@@ -103,12 +116,14 @@ class GemmRequest:
     ``c0`` is the service's private snapshot of the initial C content
     (None when ``beta == 0``: conformant GEMM never reads C then), so
     the caller's C operand is never written and repeated submissions of
-    one logical request stay independent.
+    one logical request stay independent.  ``config`` is the request's
+    resolved :class:`~repro.core.config.GemmConfig`; its ``dtype`` must
+    be :func:`request_dtype` of the operands — the dtype the output is
+    allocated in and the plan signature keys on.
     """
 
     __slots__ = ("a", "b", "c0", "alpha", "beta", "transa", "transb",
-                 "m", "k", "n", "dtype", "cutoff", "scheme", "peel",
-                 "nb", "backend", "fuse", "accuracy", "signature",
+                 "m", "k", "n", "dtype", "config", "signature",
                  "future", "deadline", "seq", "t_submit")
 
     def __init__(
@@ -121,13 +136,7 @@ class GemmRequest:
         transa: bool = False,
         transb: bool = False,
         *,
-        cutoff: CutoffCriterion,
-        scheme: str = "auto",
-        peel: str = "tail",
-        nb: int = DEFAULT_TILE,
-        backend: str = "substrate",
-        fuse: bool = False,
-        accuracy: str = "fast",
+        config: GemmConfig,
         deadline: Optional[float] = None,
     ) -> None:
         require_matrix("GemmService.submit", "a", a)
@@ -161,19 +170,8 @@ class GemmRequest:
         self.alpha, self.beta = alpha, beta
         self.transa, self.transb = bool(transa), bool(transb)
         self.m, self.k, self.n = m, k, n
-        dt = np.result_type(a, b) if c is None else np.asarray(c).dtype
-        self.dtype = np.dtype(dt)
-        # one validation point for all behaviour knobs, the observed
-        # operand dtype included — illegal (dtype, accuracy, scheme)
-        # combinations are rejected here, before the request queues
-        cfg = GemmConfig(scheme=scheme, peel=peel, cutoff=cutoff,
-                         nb=nb, backend=backend, fuse=fuse,
-                         dtype=self.dtype.name, accuracy=accuracy)
-        self.cutoff = cutoff
-        self.scheme, self.peel = scheme, peel
-        self.nb, self.backend = nb, backend
-        self.fuse = bool(fuse)
-        self.accuracy = accuracy
+        self.config = config
+        self.dtype = np.dtype(config.dtype)
         self.deadline = deadline
         self.future = GemmFuture()
         self.seq = -1            # assigned at admission
@@ -186,7 +184,7 @@ class GemmRequest:
         else:
             self.signature = signature_for(
                 "serial", m, k, n, self.transa, self.transb,
-                False, beta == 0.0, str(self.dtype), cfg,
+                False, beta == 0.0, config.dtype, config,
             )
 
     def expired(self, now: Optional[float] = None) -> bool:

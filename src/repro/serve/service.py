@@ -36,14 +36,16 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.blas.level3 import DEFAULT_TILE
+from repro.blas.dtypes import default_accuracy, is_exact_dtype
 from repro.context import ExecutionContext
+from repro.core.config import DEFAULT_CUTOFF, GemmConfig
 from repro.core.cutoff import CutoffCriterion
-from repro.core.dgefmm import DEFAULT_CUTOFF, dgefmm
+from repro.core.dgefmm import dgefmm
 from repro.core.pool import WorkspacePool
 from repro.errors import (
     ArgumentError,
@@ -55,7 +57,7 @@ from repro.plan.cache import PlanCache
 from repro.plan.executor import execute_plan
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.queue import POLICIES, AdmissionQueue
-from repro.serve.request import GemmFuture, GemmRequest
+from repro.serve.request import GemmFuture, GemmRequest, request_dtype
 
 __all__ = ["GemmService"]
 
@@ -90,15 +92,15 @@ class GemmService:
     profiles:
         Optional tuned-profile resolver consulted at admission — any
         object exposing ``resolve(m, k, n, dtype=..., beta_zero=...)
-        -> profile-or-None`` where a profile carries the GemmConfig
-        knob attributes (``scheme``/``peel``/``cutoff``/``nb``/
-        ``backend``/``fuse``), plus ``stats()``.  In practice a
+        -> profile-or-None`` where a profile exposes its winning
+        :class:`~repro.core.config.GemmConfig` as ``.config``, plus
+        ``stats()``.  In practice a
         :class:`repro.tune.store.ProfileStore`; the parameter is
         duck-typed because the serve layer sits *below* tune in the
         layering lint and must not import it.  Resolution order per
-        knob: explicit per-request argument > profile > service
-        default.  Hot-swapping = mutating the store's contents;
-        in-flight requests carry their already-resolved knobs, so a
+        knob: explicit per-request argument > profile's config >
+        service default.  Hot-swapping = mutating the store's contents;
+        in-flight requests carry their already-resolved config, so a
         swap never disturbs them.
 
     Use as a context manager, or call :meth:`close` — workers are
@@ -129,8 +131,12 @@ class GemmService:
                 "GemmService", "max_batch",
                 f"must be >= 1, got {max_batch}",
             )
-        self.cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
-        self.fuse = bool(fuse)
+        #: the service default every request's config is built from
+        #: when no tuned profile governs it
+        self.config = GemmConfig(
+            cutoff=cutoff if cutoff is not None else DEFAULT_CUTOFF,
+            fuse=bool(fuse),
+        )
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.pool = pool if pool is not None else WorkspacePool()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -222,13 +228,18 @@ class GemmService:
         hot-swap.
 
         ``accuracy`` is the request's accuracy SLO (one of
-        :data:`repro.core.config.ACCURACIES`); unset, it defaults to
-        the profile's, else to the dtype's natural discipline
-        (``"exact"`` for integer/object operands, ``"fast"``
-        otherwise).  A non-``"fast"`` resolution silently drops a
-        *defaulted* fuse knob (fused programs are compiled for the fast
-        kernels only) — an *explicit* ``fuse=True`` conflict is
-        rejected at validation instead.
+        :data:`repro.core.config.ACCURACIES`); unset, an exact
+        (integer/object) dtype resolves to ``"exact"``, and an inexact
+        one to the profile's accuracy, else ``"fast"``.  A non-``"fast"``
+        resolution silently drops a *defaulted* fuse knob (fused
+        programs are compiled for the fast kernels only) — an
+        *explicit* ``fuse=True`` conflict is rejected at validation
+        instead.
+
+        The request's :class:`~repro.core.config.GemmConfig` is built
+        in one step: the profile's config (else :attr:`config`) with
+        the observed operand dtype, the resolved accuracy and every
+        explicit knob replaced in.
 
         Raises :class:`~repro.errors.ServiceOverloaded` (full queue,
         ``"reject"`` policy or ``"block"`` timeout),
@@ -241,52 +252,29 @@ class GemmService:
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
-        prof = self._resolve_profile(a, b, c, transa, transb, beta)
+        dtype = request_dtype(a, b, c)
+        prof = self._resolve_profile(a, b, transa, transb, beta, dtype)
         if prof is not None:
             self._m_profile.inc()
-        # accuracy SLO: explicit > tuned profile > dtype default
-        resolved_accuracy = accuracy
-        if resolved_accuracy is None and prof is not None:
-            resolved_accuracy = getattr(prof, "accuracy", None)
-        if resolved_accuracy is None:
-            try:
-                from repro.blas.dtypes import (
-                    canonical_dtype,
-                    default_accuracy,
-                )
-
-                dt = (np.asarray(c).dtype if c is not None and beta != 0.0
-                      else np.result_type(a, b))
-                resolved_accuracy = default_accuracy(canonical_dtype(dt))
-            except Exception:  # noqa: BLE001 — let GemmRequest diagnose
-                resolved_accuracy = "fast"
-        resolved_fuse = fuse if fuse is not None else (
-            prof.fuse if prof is not None else self.fuse
-        )
-        if fuse is None and resolved_accuracy != "fast":
+        base = prof.config if prof is not None else self.config
+        if accuracy is None:
+            # the profile's accuracy is tuned for inexact dtypes; an
+            # exact dtype has exactly one legal discipline
+            accuracy = (default_accuracy(dtype) if is_exact_dtype(dtype)
+                        else base.accuracy)
+        if fuse is None and accuracy != "fast":
             # fused programs exist for the fast kernels only; a
             # defaulted fuse yields to the accuracy SLO (an explicit
-            # fuse=True conflict is a validation error downstream)
-            resolved_fuse = False
-        req = GemmRequest(
-            a, b, c, alpha, beta, transa, transb,
-            cutoff=cutoff if cutoff is not None else (
-                prof.cutoff if prof is not None else self.cutoff
-            ),
-            scheme=scheme if scheme is not None else (
-                prof.scheme if prof is not None else "auto"
-            ),
-            peel=peel if peel is not None else (
-                prof.peel if prof is not None else "tail"
-            ),
-            nb=nb if nb is not None else (
-                prof.nb if prof is not None else DEFAULT_TILE
-            ),
-            backend=prof.backend if prof is not None else "substrate",
-            fuse=resolved_fuse,
-            accuracy=resolved_accuracy,
-            deadline=deadline,
+            # fuse=True conflict is a validation error)
+            fuse = False
+        explicit = {"cutoff": cutoff, "scheme": scheme, "peel": peel,
+                    "nb": nb, "fuse": fuse}
+        config = replace(
+            base, dtype=dtype, accuracy=accuracy,
+            **{name: v for name, v in explicit.items() if v is not None},
         )
+        req = GemmRequest(a, b, c, alpha, beta, transa, transb,
+                          config=config, deadline=deadline)
         self._h_queue_depth.observe(self._queue.depth)
         try:
             shed = self._queue.put(req, timeout=block_timeout)
@@ -305,10 +293,10 @@ class GemmService:
         self,
         a: Any,
         b: Any,
-        c: Optional[Any],
         transa: bool,
         transb: bool,
         beta: float,
+        dtype: str,
     ) -> Optional[Any]:
         """The tuned profile governing this admission, or None.
 
@@ -324,10 +312,6 @@ class GemmService:
             sb = b.shape
             m, k = (sa[1], sa[0]) if transa else (sa[0], sa[1])
             n = sb[0] if transb else sb[1]
-            if c is not None and beta != 0.0:
-                dtype = str(np.asarray(c).dtype)
-            else:
-                dtype = str(np.result_type(a, b))
             return self.profiles.resolve(
                 m, k, n, dtype=dtype, beta_zero=(beta == 0.0)
             )
@@ -437,10 +421,11 @@ class GemmService:
         if req.signature is None:
             return "degenerate"
         b = "b0" if req.beta == 0.0 else "bg"
-        f = "fused" if req.fuse else "interp"
+        cfg = req.config
+        f = "fused" if cfg.fuse else "interp"
         return (
-            f"{req.m}x{req.k}x{req.n}:{req.dtype}:{b}:{req.scheme}:{f}"
-            f":{req.accuracy}"
+            f"{req.m}x{req.k}x{req.n}:{req.dtype}:{b}:{cfg.scheme}:{f}"
+            f":{cfg.accuracy}"
         )
 
     def _record_signature(self, req: GemmRequest, latency_ms: float) -> None:
@@ -461,9 +446,9 @@ class GemmService:
                         "m": req.m, "k": req.k, "n": req.n,
                         "dtype": str(req.dtype),
                         "beta_zero": req.beta == 0.0,
-                        "scheme": req.scheme,
-                        "fuse": req.fuse,
-                        "accuracy": req.accuracy,
+                        "scheme": req.config.scheme,
+                        "fuse": req.config.fuse,
+                        "accuracy": req.config.accuracy,
                         "count": 0,
                     }
             meta["count"] += 1
@@ -482,10 +467,11 @@ class GemmService:
             out = np.zeros((req.m, req.n), dtype=req.dtype, order="F")
         if plan is None:
             # degenerate problem: the driver's conformant early-outs
+            cfg = req.config
             dgefmm(req.a, req.b, out, req.alpha, req.beta,
-                   req.transa, req.transb, cutoff=req.cutoff,
-                   scheme=req.scheme, peel=req.peel,
-                   accuracy=req.accuracy, ctx=wctx)
+                   req.transa, req.transb, cutoff=cfg.cutoff,
+                   scheme=cfg.scheme, peel=cfg.peel,
+                   accuracy=cfg.accuracy, ctx=wctx)
         else:
             opa = req.a.T if req.transa else req.a
             opb = req.b.T if req.transb else req.b

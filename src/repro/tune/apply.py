@@ -18,29 +18,12 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.core.config import GemmConfig
-from repro.core.dgefmm import dgefmm
 from repro.errors import ArgumentError
 from repro.plan import PlanCache
-from repro.serve.service import GemmService
+from repro.serve import GemmService, reference_output
 from repro.tune.store import ProfileStore
 
 __all__ = ["hot_swap_check"]
-
-
-def _reference(a: np.ndarray, b: np.ndarray, cfg: GemmConfig,
-               cache: PlanCache) -> np.ndarray:
-    """Direct dgefmm under ``cfg`` through the plan path (the serving
-    path's ground truth — fused configs must be verified against fused
-    replay, which only the plan path executes)."""
-    c = np.zeros((a.shape[0], b.shape[1]),
-                 dtype=np.result_type(a, b), order="F")
-    dgefmm(
-        a, b, c,
-        cutoff=cfg.cutoff, scheme=cfg.scheme, peel=cfg.peel,
-        nb=cfg.nb, backend=cfg.backend,
-        plan_cache=cache, fuse=cfg.fuse, accuracy=cfg.accuracy,
-    )
-    return c
 
 
 def hot_swap_check(
@@ -83,6 +66,7 @@ def hot_swap_check(
         store.clear()  # phase 1 must observe the pre-swap world
 
     rng = np.random.default_rng(seed)
+    # references run the plan path: fused configs replay only there
     ref_cache = PlanCache(max_plans=16)
     default_cfg = GemmConfig()
     report: Dict[str, Any] = {"phases": [], "ok": True}
@@ -97,9 +81,9 @@ def hot_swap_check(
         pre = [mats() for _ in range(requests)]
         pre_futs = [svc.submit(a, b) for a, b in pre]
         exact = sum(
-            np.array_equal(
-                fut.result(60.0), _reference(a, b, default_cfg, ref_cache)
-            )
+            np.array_equal(fut.result(60.0), reference_output(
+                a, b, config=default_cfg, plan_cache=ref_cache,
+            ))
             for fut, (a, b) in zip(pre_futs, pre)
         )
         report["phases"].append({
@@ -114,9 +98,9 @@ def hot_swap_check(
         load = store.load(directory, strict=strict)
         report["load"] = load
         exact = sum(
-            np.array_equal(
-                fut.result(60.0), _reference(a, b, default_cfg, ref_cache)
-            )
+            np.array_equal(fut.result(60.0), reference_output(
+                a, b, config=default_cfg, plan_cache=ref_cache,
+            ))
             for fut, (a, b) in zip(mid_futs, mid)
         )
         report["phases"].append({
@@ -127,7 +111,7 @@ def hot_swap_check(
         # phase 3: post-swap, the tuned profile governs (when one
         # matches this problem's class)
         prof = store.resolve(m, k, n, dtype="float64", beta_zero=True)
-        post_cfg = prof.to_config() if prof is not None else default_cfg
+        post_cfg = prof.config if prof is not None else default_cfg
         report["resolved_key"] = prof.key if prof is not None else None
         report["swapped"] = (
             prof is not None and post_cfg != default_cfg
@@ -135,9 +119,9 @@ def hot_swap_check(
         post = [mats() for _ in range(requests)]
         post_futs = [svc.submit(a, b) for a, b in post]
         exact = sum(
-            np.array_equal(
-                fut.result(60.0), _reference(a, b, post_cfg, ref_cache)
-            )
+            np.array_equal(fut.result(60.0), reference_output(
+                a, b, config=post_cfg, plan_cache=ref_cache,
+            ))
             for fut, (a, b) in zip(post_futs, post)
         )
         report["phases"].append({

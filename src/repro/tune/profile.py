@@ -1,21 +1,20 @@
-"""TunedProfile: versioned, host-stamped GemmConfig knob bundles.
+"""TunedProfile: versioned, host-stamped GemmConfig bundles.
 
 The paper calibrated cutoffs per machine by hand (Tables 2-3); the tune
 subsystem discovers them on the running host and has to hand the result
 to a *serving* process that was launched before the measurement ran.
-The unit of exchange is a :class:`TunedProfile`: one winning knob
-combination — ``(scheme, peel, cutoff, nb, fuse)``, exactly the fields
-of :class:`~repro.core.config.GemmConfig` the tuner searches — bound to
-a **signature class** (a shape/dtype/scalar bucket, :func:`class_key`),
-stamped with the fingerprint of the host it was measured on, and
-carrying a monotonically increasing ``version`` so stores can reject
-stale writes.
+The unit of exchange is a :class:`TunedProfile`: one winning
+:class:`~repro.core.config.GemmConfig` bound to a **signature class**
+(a shape/dtype/scalar bucket, :func:`class_key`), stamped with the
+fingerprint of the host it was measured on, and carrying a
+monotonically increasing ``version`` so stores can reject stale
+writes.
 
 Profiles are plain JSON on disk (:meth:`TunedProfile.to_json` /
 :meth:`TunedProfile.from_json` round-trip bit-exactly — pinned by
-``tests/test_tune.py``), and :meth:`TunedProfile.to_config` rebuilds
-the frozen, validated ``GemmConfig``, so every knob a profile can carry
-is a knob the plan-cache signature already keys on: a hot-swapped
+``tests/test_tune.py``).  The codec walks ``fields(GemmConfig)``, so
+every knob a profile can carry is a knob the plan-cache signature
+already keys on, and a new knob needs no edit here: a hot-swapped
 profile can never alias a differently-configured plan.
 
 Cutoff criteria are frozen dataclasses; :func:`cutoff_to_json` /
@@ -26,9 +25,8 @@ dict) so any criterion in :mod:`repro.core.cutoff` survives the trip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.blas.level3 import BACKENDS, DEFAULT_TILE
 from repro.core import cutoff as _cutoff_mod
 from repro.core.config import GemmConfig
 from repro.core.cutoff import CutoffCriterion
@@ -118,14 +116,15 @@ def class_key(
 
 @dataclass(frozen=True)
 class TunedProfile:
-    """One signature class's winning knobs, host-stamped and versioned.
+    """One signature class's winning config, host-stamped and versioned.
 
     ``key``
         The :func:`class_key` bucket this profile serves.
-    ``scheme``/``peel``/``cutoff``/``nb``/``backend``/``fuse``
-        The knob values — the same vocabulary as
-        :class:`~repro.core.config.GemmConfig`, validated identically
-        (construction runs ``to_config()`` once).
+    ``config``
+        The winning :class:`~repro.core.config.GemmConfig` — validated
+        once, at its own construction.  Its ``dtype`` is the default:
+        a profile's dtype lives in its ``key``, and admission folds the
+        observed operand dtype into whatever config it serves.
     ``version``
         Monotonic per key; :class:`~repro.tune.store.ProfileStore`
         refuses to replace a profile with an older or equal version.
@@ -141,17 +140,7 @@ class TunedProfile:
     """
 
     key: str
-    scheme: str = "auto"
-    peel: str = "tail"
-    cutoff: CutoffCriterion = field(
-        default_factory=lambda: _cutoff_mod.HybridCutoff(
-            tau=128, tau_m=96, tau_k=96, tau_n=96
-        )
-    )
-    nb: int = DEFAULT_TILE
-    backend: str = "substrate"
-    fuse: bool = False
-    accuracy: str = "fast"
+    config: GemmConfig = GemmConfig()
     version: int = 1
     created: str = ""
     host: Dict[str, Any] = field(default_factory=dict)
@@ -164,42 +153,35 @@ class TunedProfile:
                 "TunedProfile", "key", f"must be a nonempty str, "
                 f"got {self.key!r}",
             )
+        if self.config.dtype != GemmConfig.dtype:
+            raise ArgumentError(
+                "TunedProfile", "config",
+                f"dtype lives in the class key: config.dtype must be "
+                f"{GemmConfig.dtype!r}, got {self.config.dtype!r}",
+            )
         if self.version < 1:
             raise ArgumentError(
                 "TunedProfile", "version",
                 f"must be >= 1, got {self.version}",
             )
-        # one validation point: every knob combination a profile can
-        # carry is a combination GemmConfig accepts
-        self.to_config()
 
     # ------------------------------------------------------------------ #
-    def to_config(self) -> GemmConfig:
-        """The frozen, validated config these knobs encode.
-
-        Validates under the default (float64) dtype, which restricts
-        profile accuracies to ``"fast"``/``"compensated"`` — the exact
-        discipline is never *tuned into* a profile, it follows from the
-        request's dtype at admission.
-        """
-        return GemmConfig(
-            scheme=self.scheme, peel=self.peel, cutoff=self.cutoff,
-            nb=self.nb, backend=self.backend, fuse=self.fuse,
-            accuracy=self.accuracy,
-        )
-
     def to_json(self) -> Dict[str, Any]:
-        """Plain-JSON document (round-trips via :meth:`from_json`)."""
+        """Plain-JSON document (round-trips via :meth:`from_json`).
+
+        Every :class:`GemmConfig` field but ``dtype`` is a top-level
+        key, in declaration order; a cutoff criterion encodes through
+        :func:`cutoff_to_json`.
+        """
+        knobs = {
+            name: (cutoff_to_json(value)
+                   if isinstance(value, CutoffCriterion) else value)
+            for name, value in _knobs(self.config)
+        }
         return {
             "schema": PROFILE_SCHEMA,
             "key": self.key,
-            "scheme": self.scheme,
-            "peel": self.peel,
-            "cutoff": cutoff_to_json(self.cutoff),
-            "nb": self.nb,
-            "backend": self.backend,
-            "fuse": self.fuse,
-            "accuracy": self.accuracy,
+            **knobs,
             "version": self.version,
             "created": self.created,
             "host": dict(self.host),
@@ -209,24 +191,28 @@ class TunedProfile:
 
     @classmethod
     def from_json(cls, doc: Dict[str, Any]) -> "TunedProfile":
-        """Rebuild (and re-validate) a profile from its JSON document."""
+        """Rebuild (and re-validate) a profile from its JSON document.
+
+        A knob missing from the document takes its ``GemmConfig``
+        default — documents written before a knob existed (e.g. no
+        ``accuracy`` key) decode to the behaviour they were measured
+        under.
+        """
         schema = doc.get("schema")
         if schema != PROFILE_SCHEMA:
             raise ArgumentError(
                 "TunedProfile.from_json", "schema",
                 f"expected {PROFILE_SCHEMA}, got {schema!r}",
             )
+        knobs = {
+            name: (cutoff_from_json(doc[name])
+                   if isinstance(default, CutoffCriterion) else doc[name])
+            for name, default in _knobs(GemmConfig())
+            if name in doc
+        }
         return cls(
             key=doc["key"],
-            scheme=doc.get("scheme", "auto"),
-            peel=doc.get("peel", "tail"),
-            cutoff=cutoff_from_json(doc["cutoff"]),
-            nb=int(doc.get("nb", DEFAULT_TILE)),
-            backend=doc.get("backend", "substrate"),
-            fuse=bool(doc.get("fuse", False)),
-            # documents written before the precision dimension carry no
-            # accuracy key; they decode to the fast discipline
-            accuracy=doc.get("accuracy", "fast"),
+            config=GemmConfig(**knobs),
             version=int(doc.get("version", 1)),
             created=doc.get("created", ""),
             host=dict(doc.get("host", {})),
@@ -239,13 +225,11 @@ class TunedProfile:
         return self.host.get("digest")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"TunedProfile({self.key!r} v{self.version}: "
-            f"{self.scheme}/{self.peel}, {self.cutoff!r}, nb={self.nb}, "
-            f"fuse={self.fuse})"
-        )
+        return f"TunedProfile({self.key!r} v{self.version}: {self.config!r})"
 
 
-# silence the unused-import lint for BACKENDS: it documents the backend
-# vocabulary profiles validate against (via GemmConfig).
-_ = BACKENDS
+def _knobs(config: GemmConfig) -> List[Tuple[str, Any]]:
+    """``(name, value)`` of every config field a profile document
+    carries: all of them but ``dtype``, in declaration order."""
+    return [(f.name, getattr(config, f.name))
+            for f in fields(GemmConfig) if f.name != "dtype"]

@@ -218,13 +218,8 @@ def tune_class(
 
     return TunedProfile(
         key=class_key(m, k, n, dtype=dtype, beta_zero=beta_zero),
-        scheme=best_cfg.scheme,
-        peel=best_cfg.peel,
-        cutoff=best_cfg.cutoff,
-        nb=best_cfg.nb,
-        backend=best_cfg.backend,
-        fuse=best_cfg.fuse,
-        accuracy=best_cfg.accuracy,
+        # the dtype lives in the class key, not in the profile's config
+        config=dataclasses.replace(best_cfg, dtype=GemmConfig.dtype),
         version=version,
         created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         host=host_fingerprint(),

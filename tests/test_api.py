@@ -677,12 +677,13 @@ class TestProfileReload:
 
     @staticmethod
     def _write_profile(directory, m):
+        from repro.core.config import GemmConfig
         from repro.core.cutoff import SimpleCutoff as _SC
         from repro.tune import ProfileStore, TunedProfile, class_key
 
         prof = TunedProfile(
             key=class_key(m, m, m),
-            cutoff=_SC(32), nb=96, fuse=True,
+            config=GemmConfig(cutoff=_SC(32), nb=96, fuse=True),
         )
         store = ProfileStore(str(directory))
         store.put(prof)
@@ -724,7 +725,7 @@ class TestProfileReload:
             got = post.call(a, b)
         finally:
             post.close()
-        cfg = prof.to_config()
+        cfg = prof.config
         want = np.zeros((m, m), order="F")
         dgefmm(a, b, want, cutoff=cfg.cutoff, scheme=cfg.scheme,
                peel=cfg.peel, nb=cfg.nb, backend=cfg.backend,

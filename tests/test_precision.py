@@ -402,20 +402,24 @@ class TestTunedProfileAccuracy:
     def test_roundtrip_and_legacy_decode(self):
         from repro.tune.profile import TunedProfile
 
-        prof = TunedProfile(key="sq32:float32:b0", accuracy="compensated")
+        prof = TunedProfile(key="sq32:float32:b0",
+                            config=GemmConfig(accuracy="compensated"))
         doc = prof.to_json()
         assert doc["accuracy"] == "compensated"
         back = TunedProfile.from_json(doc)
-        assert back.accuracy == "compensated"
-        assert back.to_config().accuracy == "compensated"
+        assert back == prof
+        assert back.config.accuracy == "compensated"
         legacy = {k: v for k, v in doc.items() if k != "accuracy"}
-        assert TunedProfile.from_json(legacy).accuracy == "fast"
+        assert TunedProfile.from_json(legacy).config.accuracy == "fast"
 
     def test_profile_rejects_exact(self):
         from repro.tune.profile import TunedProfile
 
+        # the exact discipline follows from the request dtype at
+        # admission; a profile's config carries no dtype to make it legal
         with pytest.raises(ArgumentError):
-            TunedProfile(key="sq32:int64:b0", accuracy="exact")
+            TunedProfile(key="sq32:int64:b0",
+                         config=GemmConfig(dtype="int64", accuracy="exact"))
 
 
 # ---------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.context import ExecutionContext
+from repro.core.config import GemmConfig
 from repro.core.cutoff import SimpleCutoff
 from repro.core.dgefmm import dgefmm
 from repro.errors import (
@@ -24,6 +25,7 @@ from repro.errors import (
     ServiceOverloaded,
     ServiceTimeout,
 )
+from repro.plan.cache import PlanCache
 from repro.serve import (
     POLICIES,
     AdmissionQueue,
@@ -38,13 +40,15 @@ from repro.serve.metrics import Counter, Histogram
 CUT = SimpleCutoff(8)
 
 
-def _req(m=8, k=8, n=8, seed=0, beta=0.0, **kw):
+CFG = GemmConfig(cutoff=CUT)
+
+
+def _req(m=8, k=8, n=8, seed=0, beta=0.0):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, k))
     b = rng.standard_normal((k, n))
     c = rng.standard_normal((m, n)) if beta != 0.0 else None
-    kw.setdefault("cutoff", CUT)
-    return GemmRequest(a, b, c, 1.0, beta, **kw)
+    return GemmRequest(a, b, c, 1.0, beta, config=CFG)
 
 
 # ---------------------------------------------------------------------- #
@@ -253,29 +257,29 @@ class TestRequestValidation:
         a = np.zeros((4, 5))
         b = np.zeros((6, 3))
         with pytest.raises(DimensionError):
-            GemmRequest(a, b, cutoff=CUT)
+            GemmRequest(a, b, config=CFG)
 
     def test_beta_requires_c(self):
         a, b = np.zeros((4, 5)), np.zeros((5, 3))
         with pytest.raises(ArgumentError):
-            GemmRequest(a, b, None, 1.0, 0.5, cutoff=CUT)
+            GemmRequest(a, b, None, 1.0, 0.5, config=CFG)
         with pytest.raises(DimensionError):
-            GemmRequest(a, b, np.zeros((3, 3)), 1.0, 0.5, cutoff=CUT)
+            GemmRequest(a, b, np.zeros((3, 3)), 1.0, 0.5, config=CFG)
 
     def test_bad_knobs(self):
         a, b = np.zeros((4, 5)), np.zeros((5, 3))
         with pytest.raises(ArgumentError):
-            GemmRequest(a, b, cutoff=CUT, scheme="nope")
+            GemmRequest(a, b, config=GemmConfig(cutoff=CUT, scheme="nope"))
         with pytest.raises(ArgumentError):
-            GemmRequest(a, b, cutoff=CUT, peel="sideways")
+            GemmRequest(a, b, config=GemmConfig(cutoff=CUT, peel="sideways"))
 
     def test_degenerate_signature_none(self):
         assert _req(m=0).signature is None
         assert _req(k=0).signature is None
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal((4, 5)), rng.standard_normal((5, 3))
-        assert GemmRequest(a, b, alpha=0.0, cutoff=CUT).signature is None
-        assert GemmRequest(a, b, cutoff=CUT).signature is not None
+        assert GemmRequest(a, b, alpha=0.0, config=CFG).signature is None
+        assert GemmRequest(a, b, config=CFG).signature is not None
 
     def test_future_result_timeout(self):
         r = _req()
@@ -468,14 +472,30 @@ class TestGemmService:
         requests to the daemon workers' discretion, so a caller
         blocking on one of those futures could hang indefinitely.
 
-        Distinct shapes per request, so micro-batching cannot fold the
-        queue into the first pickup: the single worker is busy with the
-        first request while the rest sit queued when close() fires.
+        A gated plan cache holds the single worker inside the first
+        request until close() has returned, and distinct shapes per
+        request keep micro-batching from folding the queue into that
+        first pickup: the rest are deterministically still queued when
+        close() fires.
         """
+
+        class GatedCache(PlanCache):
+            def __init__(self):
+                super().__init__()
+                self.entered = threading.Event()
+                self.release = threading.Event()
+
+            def get_or_compile(self, signature):
+                self.entered.set()
+                self.release.wait(30.0)
+                return super().get_or_compile(signature)
+
         rng = np.random.default_rng(12)
-        big = rng.standard_normal((600, 600))
-        svc = GemmService(workers=1, cutoff=CUT)
-        futs = [svc.submit(big, big)]
+        cache = GatedCache()
+        svc = GemmService(workers=1, cutoff=CUT, plan_cache=cache)
+        futs = [svc.submit(rng.standard_normal((60, 60)),
+                           rng.standard_normal((60, 60)))]
+        assert cache.entered.wait(30.0)   # the worker holds request 0
         futs += [
             svc.submit(rng.standard_normal((40 + i, 30)),
                        rng.standard_normal((30, 50 + i)))
@@ -485,6 +505,7 @@ class TestGemmService:
         # queued-but-untaken requests must have been failed by close()
         # itself; only work a worker already held may still be running
         stranded = [f for f in futs if not f.done()]
+        cache.release.set()
         assert len(stranded) <= 1, (
             "close() left queued futures unresolved"
         )

@@ -22,6 +22,7 @@ Pins the contracts ``docs/api.md``'s "Autotuning" section documents:
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 import time
@@ -29,9 +30,17 @@ import time
 import numpy as np
 import pytest
 
+from repro.blas.dtypes import ACCURACIES
+from repro.blas.level3 import BACKENDS
 from repro.core.config import PEELS, SCHEMES, GemmConfig
-from repro.core.cutoff import DepthCutoff, HybridCutoff, SimpleCutoff
+from repro.core.cutoff import (
+    CutoffCriterion,
+    DepthCutoff,
+    HybridCutoff,
+    SimpleCutoff,
+)
 from repro.errors import ArgumentError
+from repro.plan import PlanCache
 from repro.plan.compiler import signature_for
 from repro.serve.service import GemmService
 from repro.tune import (
@@ -139,12 +148,12 @@ def test_profile_knob_space_config_signature_and_roundtrip(knobs, version):
     prof = TunedProfile(
         key="sq128:float64:b0", version=version,
         host=host_fingerprint(), measured={"tuned_s": 0.001},
-        **knobs,
+        config=GemmConfig(**knobs),
     )
-    cfg = prof.to_config()
+    cfg = prof.config
     assert isinstance(cfg, GemmConfig)
-    for name in ("scheme", "peel", "cutoff", "nb", "backend", "fuse"):
-        assert getattr(cfg, name) == getattr(prof, name)
+    for name, value in knobs.items():
+        assert getattr(cfg, name) == value
 
     # the signature is derived structurally from the config: two
     # profiles differing in any knob can never share a plan-cache slot
@@ -167,8 +176,8 @@ def test_profile_knob_space_config_signature_and_roundtrip(knobs, version):
 @settings(max_examples=30, deadline=None)
 @given(a=_knobs, b=_knobs)
 def test_distinct_knobs_yield_distinct_signatures(a, b):
-    ca = TunedProfile(key="k", **a).to_config()
-    cb = TunedProfile(key="k", **b).to_config()
+    ca = TunedProfile(key="k", config=GemmConfig(**a)).config
+    cb = TunedProfile(key="k", config=GemmConfig(**b)).config
     sa = signature_for(
         "gemm", 96, 96, 96, False, False, False, True, "float64", ca
     )
@@ -180,13 +189,136 @@ def test_distinct_knobs_yield_distinct_signatures(a, b):
 
 def test_profile_validates_like_gemmconfig():
     with pytest.raises(ArgumentError):
-        TunedProfile(key="k", scheme="not-a-scheme")
+        TunedProfile(key="k", config=GemmConfig(scheme="not-a-scheme"))
     with pytest.raises(ArgumentError):
-        TunedProfile(key="k", nb=0)
+        TunedProfile(key="k", config=GemmConfig(nb=0))
     with pytest.raises(ArgumentError):
         TunedProfile(key="")
     with pytest.raises(ArgumentError):
         TunedProfile(key="k", version=0)
+    # the dtype lives in the class key, never in the profile's config
+    with pytest.raises(ArgumentError):
+        TunedProfile(key="k", config=GemmConfig(dtype="float32"))
+
+
+#: ``TunedProfile(key="sq128:float64:b0").to_json()`` as the schema-1
+#: codec wrote it while profiles still listed their knobs one by one —
+#: documents on disk must keep loading, and keep being written, as is
+GOLDEN_SCHEMA1 = {
+    "schema": 1, "key": "sq128:float64:b0", "scheme": "auto",
+    "peel": "tail",
+    "cutoff": {"kind": "HybridCutoff",
+               "params": {"tau": 128, "tau_m": 96, "tau_k": 96,
+                          "tau_n": 96}},
+    "nb": 160, "backend": "substrate", "fuse": False, "accuracy": "fast",
+    "version": 1, "created": "", "host": {}, "measured": {}, "note": "",
+}
+
+
+def test_golden_schema1_document_loads_and_reserializes():
+    prof = TunedProfile.from_json(GOLDEN_SCHEMA1)
+    assert prof == TunedProfile(key="sq128:float64:b0")
+    assert prof.to_json() == GOLDEN_SCHEMA1
+    assert list(prof.to_json()) == list(GOLDEN_SCHEMA1)
+
+
+#: every GemmConfig field a profile carries: all but dtype, which lives
+#: in the class key
+PROFILE_KNOBS = [f.name for f in dataclasses.fields(GemmConfig)
+                 if f.name != "dtype"]
+
+#: the values a knob's test value is drawn from (see _non_default)
+_VALUE_POOL = (*SCHEMES, *PEELS, *BACKENDS, *ACCURACIES, True, False,
+               96, 64, SimpleCutoff(64), DepthCutoff(1))
+
+
+def _value_kind(value):
+    if isinstance(value, CutoffCriterion):
+        return CutoffCriterion
+    return type(value)
+
+
+def _non_default(name):
+    """The first pool value that is a valid, non-default setting of the
+    knob ``name`` on its own — found by asking GemmConfig, so a new knob
+    needs a pool entry at most, never a new test."""
+    default = getattr(GemmConfig(), name)
+    for value in _VALUE_POOL:
+        if _value_kind(value) is not _value_kind(default):
+            continue
+        if value == default:
+            continue
+        try:
+            GemmConfig(**{name: value})
+        except ArgumentError:
+            continue
+        return value
+    raise AssertionError(f"no non-default test value for knob {name!r}")
+
+
+@pytest.mark.parametrize("name", PROFILE_KNOBS)
+def test_every_knob_round_trips_through_json(name):
+    value = _non_default(name)
+    prof = TunedProfile(key="sq128:float64:b0",
+                        config=GemmConfig(**{name: value}))
+    back = TunedProfile.from_json(json.loads(json.dumps(prof.to_json())))
+    assert back == prof
+    assert getattr(back.config, name) == value
+
+
+class _RecordingCache(PlanCache):
+    """A plan cache that remembers every signature it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def get_or_compile(self, signature):
+        self.seen.append(signature)
+        return super().get_or_compile(signature)
+
+
+@pytest.mark.parametrize("name", PROFILE_KNOBS)
+def test_every_knob_resolves_explicit_then_profile_then_default(name):
+    """Per knob: the profile's value beats the service default, and an
+    explicit submit argument (where submit takes one) beats the
+    profile's value — read back from the plan signature served."""
+    value = _non_default(name)
+    store = ProfileStore()
+    store.put(TunedProfile(key=class_key(8, 8, 8),
+                           config=GemmConfig(**{name: value})))
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((8, 8))
+    b = rng.standard_normal((8, 8))
+    cache = _RecordingCache()
+    explicit = name in inspect.signature(GemmService.submit).parameters
+    plain = GemmService(workers=1, plan_cache=cache)
+    tuned = GemmService(workers=1, plan_cache=cache, profiles=store)
+    with plain, tuned:
+        default = getattr(plain.config, name)
+        assert default != value
+        plain.call(a, b)
+        tuned.call(a, b)
+        if explicit:
+            tuned.call(a, b, **{name: default})
+    served = [getattr(sig.config(), name) for sig in cache.seen]
+    assert served == [default, value] + ([default] if explicit else [])
+
+
+def test_exact_dtype_profile_serves_bit_exactly():
+    """A profile stored for an int64 class must not impose its (inexact)
+    accuracy on int64 requests: exact dtypes always resolve "exact"."""
+    store = ProfileStore()
+    store.put(TunedProfile(key=class_key(32, 32, 32, dtype="int64")))
+    rng = np.random.default_rng(5)
+    a = rng.integers(-9, 10, (32, 32))
+    b = rng.integers(-9, 10, (32, 32))
+    with GemmService(workers=1, profiles=store) as svc:
+        got = svc.call(a, b)
+        resolved = svc.stats()["counters"]["profile_resolved"]
+    assert resolved == 1
+    assert got.dtype == np.int64
+    assert (got == a @ b).all()
 
 
 def test_profile_from_json_rejects_wrong_schema():
@@ -201,19 +333,22 @@ def test_profile_from_json_rejects_wrong_schema():
 # --------------------------------------------------------------------- #
 def test_store_versioned_replace():
     store = ProfileStore()
-    v1 = TunedProfile(key="sq128:float64:b0", nb=96, version=1)
-    v2 = TunedProfile(key="sq128:float64:b0", nb=256, version=2)
+    v1 = TunedProfile(key="sq128:float64:b0", config=GemmConfig(nb=96),
+                      version=1)
+    v2 = TunedProfile(key="sq128:float64:b0", config=GemmConfig(nb=256),
+                      version=2)
     assert store.put(v2)
     assert not store.put(v1)  # older version refused
-    assert store.get("sq128:float64:b0").nb == 256
+    assert store.get("sq128:float64:b0").config.nb == 256
     assert store.put(v1, force=True)  # operator override wins
-    assert store.get("sq128:float64:b0").nb == 96
+    assert store.get("sq128:float64:b0").config.nb == 96
 
 
 def test_store_resolve_counts_and_class_bucketing():
     store = ProfileStore()
-    store.put(TunedProfile(key=class_key(200, 200, 200), nb=96))
-    assert store.resolve(190, 200, 210).nb == 96  # same bucket
+    store.put(TunedProfile(key=class_key(200, 200, 200),
+                           config=GemmConfig(nb=96)))
+    assert store.resolve(190, 200, 210).config.nb == 96  # same bucket
     assert store.resolve(8, 8, 8) is None
     stats = store.stats()
     assert stats["resolved"] == 1 and stats["missed"] == 1
@@ -224,7 +359,8 @@ def test_store_save_load_round_trip(tmp_path):
     store = ProfileStore(str(tmp_path))
     prof = TunedProfile(
         key=class_key(200, 200, 200),
-        cutoff=SimpleCutoff(128), nb=96, fuse=True, version=3,
+        config=GemmConfig(cutoff=SimpleCutoff(128), nb=96, fuse=True),
+        version=3,
         host=host_fingerprint(), measured={"speedup": 2.0},
     )
     store.put(prof)
@@ -351,7 +487,7 @@ def test_tune_class_picks_measured_winner(monkeypatch):
     monkeypatch.setattr("repro.tune.search.time_config", fake_time_config)
     prof = tune_class(200, 200, 200, grid=grid, budget_s=30.0, version=5)
     assert prof.key == "sq128:float64:b0"
-    assert prof.to_config() == winner
+    assert prof.config == winner
     assert prof.version == 5
     assert prof.measured["speedup"] == pytest.approx(10.0)
     assert prof.host["digest"] == host_fingerprint()["digest"]
@@ -365,7 +501,7 @@ def test_tune_class_falls_back_to_default_when_nothing_beats_it(monkeypatch):
     prof = tune_class(
         200, 200, 200, grid=[GemmConfig(nb=96)], budget_s=30.0
     )
-    assert prof.to_config() == GemmConfig()
+    assert prof.config == GemmConfig()
     assert prof.measured["predicted_rank"] == -1  # out-of-grid default
     assert prof.measured["speedup"] == pytest.approx(1.0)
 
@@ -507,7 +643,8 @@ def test_feed_reads_real_service_stats():
 def test_service_resolution_order_explicit_beats_profile():
     store = ProfileStore()
     store.put(TunedProfile(
-        key=class_key(96, 96, 96), cutoff=SimpleCutoff(48), nb=96,
+        key=class_key(96, 96, 96),
+        config=GemmConfig(cutoff=SimpleCutoff(48), nb=96),
     ))
     rng = np.random.default_rng(3)
     a = np.asfortranarray(rng.standard_normal((96, 96)))
@@ -537,7 +674,7 @@ def test_end_to_end_tune_persist_hot_swap(tmp_path, monkeypatch):
 
     monkeypatch.setattr("repro.tune.search.time_config", fake_time_config)
     prof = tune_class(100, 100, 100, grid=grid, budget_s=30.0)
-    assert prof.to_config() == winner
+    assert prof.config == winner
 
     store = ProfileStore(str(tmp_path))
     store.put(prof)
