@@ -274,13 +274,20 @@ def _plan_cache_stats(args) -> int:
 
 
 def _plan_selftest(json_out: bool = False) -> int:
-    """Compile + execute + cache-stats on a small grid (CI quick lane)."""
+    """Compile + execute + cache-stats on a small grid (CI quick lane).
+
+    Each case checks the planned replay (the inline loop) against the
+    eager recursive driver — bits, kernel calls, mul/add flops — and
+    against a traced replay of the same plan, which runs the per-op
+    kernel loop.  The last case is a parallel plan (``pdgefmm``).
+    """
     import numpy as np
 
     from repro.context import ExecutionContext
     from repro.core.config import GemmConfig
     from repro.core.cutoff import SimpleCutoff
     from repro.core.dgefmm import dgefmm
+    from repro.core.parallel import pdgefmm
     from repro.core.recursion import recursion_profile
     from repro.plan import PlanCache
     from repro.plan.compiler import signature_for
@@ -288,50 +295,75 @@ def _plan_selftest(json_out: bool = False) -> int:
     crit = SimpleCutoff(8)
     cache = PlanCache()
     rng = np.random.default_rng(0)
-    cases = [(16, 16, 16), (17, 13, 19), (24, 10, 31), (29, 29, 29)]
+    cases = [("serial", 16, 16, 16), ("serial", 17, 13, 19),
+             ("serial", 24, 10, 31), ("serial", 29, 29, 29),
+             ("parallel", 33, 27, 35)]
+
+    def tallies(ctx):
+        return (ctx.kernel_calls, ctx.mul_flops, ctx.add_flops)
+
     rows = []
     ok = True
-    for mm, kk, nn in cases:
+    for kind, mm, kk, nn in cases:
         a = np.asfortranarray(rng.standard_normal((mm, kk)))
         b = np.asfortranarray(rng.standard_normal((kk, nn)))
         c0 = np.asfortranarray(rng.standard_normal((mm, nn)))
+        drive = dgefmm if kind == "serial" else pdgefmm
+        extra = {} if kind == "serial" else {"workers": 2}
         for alpha, beta in ((1.0, 0.0), (1.5, 0.5)):
-            c_rec, c_pln = c0.copy(order="F"), c0.copy(order="F")
-            ctx_r, ctx_p = ExecutionContext(), ExecutionContext()
-            dgefmm(a, b, c_rec, alpha, beta, cutoff=crit, ctx=ctx_r)
-            dgefmm(a, b, c_pln, alpha, beta, cutoff=crit, ctx=ctx_p,
-                   plan_cache=cache)
-            sig = signature_for("serial", mm, kk, nn, False, False,
+            outs, ctxs = {}, {}
+            for path in ("eager", "plain", "traced"):
+                outs[path] = c0.copy(order="F")
+                ctxs[path] = ExecutionContext(trace=path == "traced")
+                drive(a, b, outs[path], alpha, beta, cutoff=crit,
+                      ctx=ctxs[path],
+                      plan_cache=None if path == "eager" else cache,
+                      **extra)
+            sig = signature_for(kind, mm, kk, nn, False, False,
                                 False, beta == 0.0, "float64",
-                                GemmConfig(cutoff=crit))
+                                GemmConfig(cutoff=crit),
+                                0 if kind == "serial" else 1)
             plan = cache.get(sig)
-            prof = recursion_profile(mm, kk, nn, crit)
-            bit = bool(np.array_equal(c_rec, c_pln))
-            kc = ctx_r.kernel_calls == ctx_p.kernel_calls
-            pr = plan is not None and all(
-                plan.counts[key] == prof[key]
-                for key in ("recurse", "base", "peel", "max_depth",
-                            "mul_flops", "base_shapes")
-            )
-            ok = ok and bit and kc and pr
-            rows.append({"m": mm, "k": kk, "n": nn, "alpha": alpha,
-                         "beta": beta, "bit_identical": bit,
-                         "kernel_counts_match": kc, "profile_match": pr})
+            bit = bool(np.array_equal(outs["eager"], outs["plain"]))
+            kc = ctxs["eager"].kernel_calls == ctxs["plain"].kernel_calls
+            fl = (ctxs["eager"].mul_flops == ctxs["plain"].mul_flops
+                  and ctxs["eager"].add_flops == ctxs["plain"].add_flops)
+            tr = (bool(np.array_equal(outs["traced"], outs["plain"]))
+                  and tallies(ctxs["traced"]) == tallies(ctxs["plain"]))
+            if kind == "serial":
+                prof = recursion_profile(mm, kk, nn, crit)
+                pr = plan is not None and all(
+                    plan.counts[key] == prof[key]
+                    for key in ("recurse", "base", "peel", "max_depth",
+                                "mul_flops", "base_shapes")
+                )
+            else:
+                pr = plan is not None and bool(plan.branches)
+            ok = ok and bit and kc and fl and tr and pr
+            rows.append({"kind": kind, "m": mm, "k": kk, "n": nn,
+                         "alpha": alpha, "beta": beta,
+                         "bit_identical": bit, "kernel_counts_match": kc,
+                         "flops_match": fl, "traced_match": tr,
+                         "profile_match": pr})
             if not json_out:
-                print(f"plan {mm}x{kk}x{nn} alpha={alpha} beta={beta}: "
-                      f"bit-identical {'ok' if bit else 'FAILED'}, "
-                      f"kernel counts {'ok' if kc else 'FAILED'}, "
-                      f"profile {'ok' if pr else 'FAILED'}")
+                mark = {True: "ok", False: "FAILED"}
+                print(f"plan {kind} {mm}x{kk}x{nn} alpha={alpha} "
+                      f"beta={beta}: bit-identical {mark[bit]}, "
+                      f"kernel counts {mark[kc]}, flops {mark[fl]}, "
+                      f"traced replay {mark[tr]}, "
+                      f"{'profile' if kind == 'serial' else 'branches'} "
+                      f"{mark[pr]}")
     # warm replay: every signature is cached now, so only hits accrue
     before = cache.stats()
-    for mm, kk, nn in cases:
+    serial = [case[1:] for case in cases if case[0] == "serial"]
+    for mm, kk, nn in serial:
         a = np.asfortranarray(rng.standard_normal((mm, kk)))
         b = np.asfortranarray(rng.standard_normal((kk, nn)))
         c = np.zeros((mm, nn), order="F")
         dgefmm(a, b, c, cutoff=crit, plan_cache=cache)
     after = cache.stats()
     warm = (after["misses"] == before["misses"]
-            and after["hits"] == before["hits"] + len(cases))
+            and after["hits"] == before["hits"] + len(serial))
     ok = ok and warm
     if json_out:
         _print_bench_json("plan_selftest", {"cutoff": 8}, rows,

@@ -138,6 +138,13 @@ def axpby(
     ``alpha == 0, beta == 0`` writes exact zeros rather than computing
     ``0*y`` (whose ``0*NaN = NaN`` would leak the garbage through the
     degenerate ``C <- beta*C`` paths of the drivers).
+
+    On real floating dtypes, ``alpha = -1, beta = 1`` runs as ``y -= x``
+    and ``alpha = 1, beta = -1`` as ``y <- x - y``, with no temporary:
+    IEEE defines ``u - v`` as ``u + (-v)`` and ``-1*v`` is ``-v``
+    exactly, so the bits equal the generic formula's (NaN stays NaN).
+    Complex dtypes keep the generic formula, since a complex ``-1*v``
+    is a full complex multiply (``0*inf`` in the cross terms).
     """
     ctx = ensure_context(ctx)
     m, n = require_matrix("axpby", "x", x)
@@ -153,13 +160,19 @@ def axpby(
             y[...] = x
         else:
             np.multiply(x, alpha, out=y)
-    else:
-        if beta != 1.0:
-            y *= beta
-        if alpha == 1.0:
-            y += x
-        elif alpha != 0.0:
-            y += alpha * x
+        return y
+    real = y.dtype.kind == "f"
+    if beta != 1.0:
+        if beta == -1.0 and alpha == 1.0 and real:
+            np.subtract(x, y, out=y)
+            return y
+        y *= beta
+    if alpha == 1.0:
+        y += x
+    elif alpha == -1.0 and real:
+        y -= x
+    elif alpha != 0.0:
+        y += alpha * x
     return y
 
 

@@ -28,7 +28,7 @@ from repro.blas.dtypes import WIDE, require_integral_scalar
 from repro.blas.validate import opshape, require_matrix, require_writable
 from repro.errors import ArgumentError, DimensionError
 
-__all__ = ["dgemm", "gemm_flops", "DEFAULT_TILE", "BACKENDS"]
+__all__ = ["dgemm", "dgemm_numeric", "gemm_flops", "DEFAULT_TILE", "BACKENDS"]
 
 #: default cache-blocking tile edge for the standard-algorithm kernel
 DEFAULT_TILE = 160
@@ -219,17 +219,39 @@ def dgemm(
         beta = require_integral_scalar("dgemm", "beta", beta)
     if ctx.dry:
         return c
+    return dgemm_numeric(a.T if transa else a, b.T if transb else b, c,
+                         alpha, beta, nb, backend, accuracy)
+
+
+def dgemm_numeric(
+    a: Any,
+    b: Any,
+    c: Any,
+    alpha: Any,
+    beta: Any,
+    nb: int,
+    backend: str,
+    accuracy: str = "fast",
+) -> Any:
+    """The numeric body of :func:`dgemm`: ``C <- alpha*A*B + beta*C``.
+
+    ``a`` is m-by-k and ``b`` k-by-n, already transpose-resolved; no
+    argument is validated and nothing is charged.  :func:`dgemm` calls
+    this after its checks and its charge, and the plan replay loop
+    (:func:`repro.plan.fuse.run_fused`) calls it for every base product
+    of an unfused plan after the lowering pass has checked the shapes
+    once per plan — one body, so the two can never drift apart.
+    """
+    m, n = c.shape
     if m == 0 or n == 0:
         return c
-    if k == 0 or alpha == 0.0:
+    if a.shape[1] == 0 or alpha == 0.0:
         # C <- beta*C only.
         if beta == 0.0:
             c[...] = 0
         elif beta != 1.0:
             c *= beta
         return c
-    opa = a.T if transa else a
-    opb = b.T if transb else b
     wide = (
         WIDE.get(np.dtype(c.dtype).name)
         if accuracy == "compensated" else None
@@ -237,14 +259,14 @@ def dgemm(
     if wide is not None:
         # Narrow compensated path: evaluate the whole update in the
         # wide dtype, round once at the C write.
-        opa = opa.astype(wide)
-        opb = opb.astype(wide)
+        a = a.astype(wide)
+        b = b.astype(wide)
     if backend == "vendor":
-        prod = np.asfortranarray(opa @ opb)
+        prod = np.asfortranarray(a @ b)
     elif accuracy == "compensated" and wide is None:
-        prod = _standard_product_kahan(opa, opb, nb)
+        prod = _standard_product_kahan(a, b, nb)
     else:
-        prod = _standard_product(opa, opb, nb)
+        prod = _standard_product(a, b, nb)
     if accuracy == "exact" and np.dtype(prod.dtype).kind not in "iuO":
         raise ArgumentError(
             "dgemm", "accuracy",

@@ -169,12 +169,14 @@ class ExecutionContext:
         """Record ``calls`` invocations of ``kernel`` in one update.
 
         ``muls``/``adds`` are the *aggregate* tallies across all the
-        calls.  The fused plan replay loop (:mod:`repro.plan.fuse`)
-        charges each inline run's per-kernel totals — its elementwise
-        ops and in-place products alike — once through here; because
-        every tally is an integer-valued float well below 2**53, the
-        aggregate sums equal the per-call sums bit-for-bit.  No model time is charged — fused replay is
-        gated off when a machine model is attached.
+        calls.  The inline plan replay loop
+        (:func:`repro.plan.fuse.run_fused`), which replays every plain
+        numeric ``accuracy="fast"`` plan, fused or not, charges each
+        run's per-kernel totals — its elementwise ops and base products
+        alike — once through here; because every tally is an
+        integer-valued float well below 2**53, the aggregate sums equal
+        the per-call sums bit-for-bit.  No model time is charged: the
+        inline loop is not used when a machine model is attached.
         """
         if self._lock is not None:
             with self._lock:

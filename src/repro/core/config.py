@@ -65,13 +65,13 @@ class GemmConfig:
         Base-case kernel backend (:data:`repro.blas.level3.BACKENDS`).
     ``fuse``
         Opt-in plan fusion (:mod:`repro.plan.fuse`): compiled plans
-        additionally carry a fused program — elementwise chains replayed
-        without per-op dispatch and each base-case product run in place
-        by one ``np.matmul`` call.  Only the plan path reads it
-        (``plan_cache=``); the recursive drivers ignore it.  Because
-        the ``np.matmul`` accumulation order differs from the tiled
-        substrate kernel, ``fuse`` keys the plan signature — fused and
-        interpreted plans never collide in a cache.
+        run each base-case product in place by one ``np.matmul`` call
+        (every fast plan already replays without per-op dispatch).
+        Only the plan path reads it (``plan_cache=``); the recursive
+        drivers ignore it.  Because the ``np.matmul`` accumulation
+        order differs from the tiled substrate kernel, ``fuse`` keys
+        the plan signature — fused and unfused plans never collide in
+        a cache.
     ``dtype``
         Canonical operand dtype (:data:`repro.blas.dtypes.DTYPES`).
         Drives kernel selection, workspace/arena element sizes and the

@@ -13,12 +13,14 @@ offsets).  ``dgefmm(..., plan_cache=...)`` and ``pdgefmm(...,
 plan_cache=...)`` wire the path in transparently; results are
 bit-identical to the recursive drivers.
 
-With ``fuse=True`` on :class:`~repro.core.config.GemmConfig`, compiled
-plans additionally carry a :class:`~repro.plan.fuse.FusedProgram` —
-the op stream re-expressed as elementwise runs with every base-case
-product executed in place (:func:`~repro.plan.fuse.fuse_plan`) — which the executor replays in place of the interpreted
-loop.  Fused replay is deterministic and charge-identical, but not
-bit-identical to the interpreted stream (different base-case kernel);
+Every ``accuracy="fast"`` plan is lowered once, at compile time, into
+a :class:`~repro.plan.fuse.FusedProgram` (``plan.program``) that plain
+numeric replays run through one inline loop, with no per-op dispatch.
+With ``fuse=True`` on :class:`~repro.core.config.GemmConfig`, that
+program runs every base-case product in place with ``np.matmul``
+(:func:`~repro.plan.fuse.fuse_plan`, also exposed as ``plan.fused``).
+Fused replay is deterministic and charge-identical, but not
+bit-identical to the unfused plan (different base-case kernel);
 ``fuse`` therefore keys the plan signature.
 """
 

@@ -59,7 +59,7 @@ from repro.core.parallel import (
 from repro.core.pool import _align_up
 from repro.core.traversal import Base, decide
 from repro.errors import ArgumentError
-from repro.plan.fuse import fuse_plan
+from repro.plan.fuse import fuse_plan, lower_ops
 from repro.plan.ops import (
     OP_ACCUM,
     OP_AXPBY,
@@ -190,7 +190,8 @@ class ExecutionPlan:
         "signature", "m", "k", "n", "dtype", "nb", "backend", "accuracy",
         "regions", "ops", "ops_quiet", "branches", "epilogue",
         "epilogue_quiet", "arena_bytes", "peak_bytes", "charge_bytes",
-        "counts", "nbytes", "fused", "_temp_cache",
+        "counts", "nbytes", "fused", "program", "epilogue_program",
+        "_temp_cache",
     )
 
     def __init__(
@@ -234,10 +235,16 @@ class ExecutionPlan:
         self.peak_bytes = int(peak_bytes)
         self.charge_bytes = int(charge_bytes)
         self.counts = counts
-        #: optional :class:`~repro.plan.fuse.FusedProgram` attached by
-        #: the compiler when the signature's config has ``fuse=True``;
-        #: the executor replays it for plain numeric contexts and falls
-        #: back to the interpreted op stream otherwise
+        #: ``ops_quiet`` and ``epilogue_quiet`` lowered by
+        #: :func:`~repro.plan.fuse.lower_ops` for ``accuracy="fast"``
+        #: plans (None otherwise): the executor replays them through the
+        #: inline loop for plain numeric contexts and falls back to the
+        #: per-op loop for traced, dry-run and machine-model contexts
+        self.program = None
+        self.epilogue_program = None
+        #: the same object as ``program`` when the signature's config
+        #: has ``fuse=True`` (base products as in-place ``OP_DIRECT``),
+        #: else None
         self.fused = None
         self.nbytes = (
             256
@@ -648,8 +655,11 @@ def _compile_serial(
     sc.run(a, b, c, alpha, beta, depth, scheme)
     plan = sc.rec.build(signature, m, k, n, cfg.nb, cfg.backend,
                         accuracy=cfg.accuracy)
-    if cfg.fuse:
-        plan.fused = fuse_plan(plan)
+    if cfg.accuracy == "fast":
+        if cfg.fuse:
+            plan.program = plan.fused = fuse_plan(plan)
+        else:
+            plan.program = lower_ops(plan, plan.ops_quiet)
     return plan
 
 
@@ -703,8 +713,12 @@ def _compile_pnode(
         if node.peeled:
             rec.emit_fixup(a, b, c, alpha, beta, cfg.peel, node.divisors)
 
-    return rec.build(signature, m, k, n, cfg.nb, cfg.backend,
+    plan = rec.build(signature, m, k, n, cfg.nb, cfg.backend,
                      tuple(branches), accuracy=cfg.accuracy)
+    if cfg.accuracy == "fast":
+        plan.program = lower_ops(plan, plan.ops_quiet)
+        plan.epilogue_program = lower_ops(plan, plan.epilogue_quiet)
+    return plan
 
 
 def _prun_mirror(

@@ -1,18 +1,35 @@
 """PlanExecutor: replay compiled plans with zero per-call planning.
 
-Executing a plan is a flat loop over op tuples: resolve each operand
-region to a live numpy view (roots are sliced from the call's operands;
-temporaries are carved from one arena buffer at the plan's precomputed
-byte offsets), resolve each scalar code against the call's
-``alpha``/``beta``, and invoke the *same* instrumented kernels the
-recursive driver uses — :func:`~repro.blas.addsub.madd` and friends,
-:func:`~repro.blas.level3.dgemm`, and the peeling fix-up executors.
+Executing a plan resolves each operand region to a live numpy view
+(roots are sliced from the call's operands; temporaries are carved from
+one arena buffer at the plan's precomputed byte offsets) and each
+scalar code against the call's ``alpha``/``beta``, then runs the op
+stream through one of two loops:
+
+- **The inline loop** (:func:`repro.plan.fuse.run_fused`), for every
+  plain numeric replay of an ``accuracy="fast"`` plan: no trace, no dry
+  run, no machine model.  It replays the plan's lowered program
+  (``plan.program``, and ``plan.epilogue_program`` for a parallel
+  node) with the kernels' own numpy calls written out inline, each
+  base product through :func:`~repro.blas.level3.dgemm_numeric`, and
+  charges the context once per run.  The operand checks the kernels
+  would make per op ran once, when the plan was lowered; root windows
+  are checked here, at :func:`execute_plan` entry.
+- **The per-op loop** (:func:`_run_ops`), for contexts that need per-op
+  hooks (tracing replays EVENT ops, dry runs skip numerics per kernel,
+  machine models charge modeled seconds per call) and for the
+  compensated and exact kernel tables.  It invokes the *same*
+  instrumented kernels the recursive driver uses —
+  :func:`~repro.blas.addsub.madd` and friends,
+  :func:`~repro.blas.level3.dgemm`, and the peeling fix-up executors.
+
 Because the kernels, operand layouts, and scalar arithmetic are
-identical, planned execution is bit-identical to the recursive path and
-charges the context identically; what a plan *removes* is everything
-around the kernels — per-node cutoff evaluation, peeling decisions,
-scheme dispatch, workspace frames and allocation accounting, closure
-construction, and recursion bookkeeping.
+identical, both loops are bit-identical to the recursive path for an
+unfused plan and charge the context identically; what a plan *removes*
+is everything around the kernels — per-node cutoff evaluation, peeling
+decisions, scheme dispatch, workspace frames and allocation accounting,
+closure construction, recursion bookkeeping and, in the inline loop,
+per-op dispatch.
 
 Arenas come from a :class:`~repro.core.pool.WorkspacePool` when one is
 supplied: the executor reserves the plan's precomputed requirement once
@@ -36,7 +53,7 @@ from typing import Any, List, Optional
 
 from repro.blas.addsub import NUMERIC_KERNELS, kernels_for
 from repro.blas.level3 import dgemm
-from repro.blas.validate import copy_on_overlap
+from repro.blas.validate import copy_on_overlap, require_writable
 from repro.context import ExecutionContext
 from repro.core.parallel import _split_budget
 from repro.core.peeling import apply_fixups, apply_fixups_head
@@ -163,16 +180,13 @@ def _exec(plan, va, vb, vc, st, ctx, pool, workers, arena=None) -> None:
     Only the top node uses it; parallel branches still draw from
     ``pool``.
     """
-    # Fused replay needs per-op hooks absent: tracing replays EVENT ops,
-    # dry runs skip numerics per kernel, and machine models charge
-    # modeled seconds per call — all three fall back to the interpreted
-    # stream (same plan, bit-identical numerics on the fallback).
-    fused = plan.fused
-    if fused is not None and (
-        ctx.trace or ctx.dry or ctx.machine is not None
-    ):
-        fused = None
-    need = fused.arena_bytes if fused is not None else plan.arena_bytes
+    # The inline loop serves plain numeric replay only: tracing replays
+    # EVENT ops, dry runs skip numerics per kernel, and machine models
+    # charge modeled seconds per call, so all three take the per-op
+    # loop (same plan, bit-identical numerics for unfused plans).
+    plain = not (ctx.trace or ctx.dry or ctx.machine is not None)
+    program = plan.program if plain else None
+    need = program.arena_bytes if program is not None else plan.arena_bytes
 
     pooled = False
     ws = None
@@ -191,8 +205,8 @@ def _exec(plan, va, vb, vc, st, ctx, pool, workers, arena=None) -> None:
     try:
         v = _resolve(plan, va, vb, vc, buf) if plan.regions else []
         em = kernels_for(plan.accuracy)
-        if fused is not None:
-            run_fused(fused, v, st, ctx, buf)
+        if program is not None:
+            run_fused(program, v, st, ctx, buf)
         else:
             _run_ops(plan.ops if ctx.trace else plan.ops_quiet,
                      v, st, ctx, plan.nb, plan.backend,
@@ -220,11 +234,14 @@ def _exec(plan, va, vb, vc, st, ctx, pool, workers, arena=None) -> None:
             for wctx in worker_ctxs:
                 ctx.merge_child(wctx)
 
-            _run_ops(
-                plan.epilogue if ctx.trace else plan.epilogue_quiet,
-                v, st, ctx, plan.nb, plan.backend,
-                em, plan.accuracy,
-            )
+            if program is not None:
+                run_fused(plan.epilogue_program, v, st, ctx, buf)
+            else:
+                _run_ops(
+                    plan.epilogue if ctx.trace else plan.epilogue_quiet,
+                    v, st, ctx, plan.nb, plan.backend,
+                    em, plan.accuracy,
+                )
     except BaseException:
         if pooled:
             pool.release(ws)
@@ -268,6 +285,7 @@ def execute_plan(
     (the driver wrappers have usually resolved overlap already, in which
     case this re-check is one cheap bounds comparison per operand).
     """
+    require_writable("execute_plan", "c", c)
     a, b = copy_on_overlap(c, a, b, ctx=ctx)
     sig = plan.signature
     if sig is not None:

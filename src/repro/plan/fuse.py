@@ -1,33 +1,52 @@
-"""Plan fusion: coalesce op chains and run every base product in place.
+"""Plan lowering and the one inline replay loop.
 
-The interpreted executor (:mod:`repro.plan.executor`) pays Python
-dispatch per typed op — one function call, operand validation, and a
-context charge for every madd/msub/axpby and every leaf ``dgemm``.  At
-serving scale that dispatch *is* the dominant cost (ROADMAP item 1).
-This module compiles an :class:`~repro.plan.compiler.ExecutionPlan`
+The per-op executor loop (:func:`repro.plan.executor._run_ops`) pays
+Python dispatch per typed op: one kernel call that re-validates its
+operands and charges the context, for every madd/msub/axpby and every
+leaf ``dgemm``.  At serving scale that dispatch is a large share of a
+request.  This module lowers an
+:class:`~repro.plan.compiler.ExecutionPlan`'s op stream, once per plan,
 into a :class:`FusedProgram` of two coarse step kinds:
 
 - **Runs** (``FS_EW``): maximal stretches of the op stream between
-  fix-ups, executed as one tight inline loop — same numpy calls, same
-  order, no per-op function call, validation, or charge (the context is
-  charged once per run with the exact aggregate tallies).  A run holds
-  the elementwise ops ``OP_MADD``/``OP_MSUB``/``OP_ACCUM``/``OP_AXPBY``,
-  bit-identical to interpreted replay by construction, and the
-  pseudo-op ``OP_DIRECT``: a base-case product executed in place, at
-  its original stream position, by one strided ``np.matmul`` into the
-  output view.
-- **Fix-ups** (``FS_FIXUP``): dynamic-peeling boundary updates pass
-  through to the interpreted executors unchanged.
+  fix-ups, executed by :func:`run_fused` as one tight inline loop with
+  the same numpy calls in the same order, and no per-op function call,
+  validation or charge.  The context is charged once per run with the
+  exact aggregate tallies.  A run holds the elementwise ops
+  ``OP_MADD``/``OP_MSUB``/``OP_ACCUM``/``OP_AXPBY`` and one kind of
+  base product:
 
-Every base product runs in place; none is batched.  Stacking
-same-shape products into one 3-D ``np.matmul`` (the packing-friendly
-formulation of Huang et al.'s BLIS Strassen) was measured and removed:
-in BLIS the packing is the GEMM kernel's own, nearly free, but here
-``np.matmul`` already packs inside the BLAS, so a Python-level pack is
-one more transposing memory pass each way.  Warm fused ``dgefmm``
-with every product in place, relative to the batched design
-(``strassen1``, Xeon host with OpenBLAS on one thread; median of ten
-alternating runs, each the median of 41 calls, 15 at order 1024)::
+  - in an unfused plan, ``OP_GEMM`` stays a base product computed by
+    the plan's own kernel (``nb``, ``backend``) through
+    :func:`~repro.blas.level3.dgemm_numeric`, ``dgemm``'s own numeric
+    body — so the replay is bit-identical to the per-op loop and to
+    the recursive driver;
+  - in a fused plan (``GemmConfig.fuse``), each ``OP_GEMM`` becomes the
+    pseudo-op ``OP_DIRECT``: the product executed in place, at its
+    original stream position, by one strided ``np.matmul`` into the
+    output view.
+- **Fix-ups** (``FS_FIXUP``): dynamic-peeling boundary updates pass
+  through to the peeling executors unchanged.
+
+The checks the kernels would make on every op run once here instead:
+the x, y and output shapes of each elementwise op agree, each base
+product is (m,k)·(k,n)→(m,n), and no accumulate writes its own input
+region.  A plan that fails them is rejected before it can run.
+
+Every lowered program is replayed only for plain numeric contexts —
+no tracing, no dry run, no attached machine model (those need per-op
+hooks) — and only for ``accuracy="fast"`` plans; everything else
+replays through the per-op loop, from the same plan.
+
+Fused products run in place; none is batched.  Stacking same-shape
+products into one 3-D ``np.matmul`` (the packing-friendly formulation
+of Huang et al.'s BLIS Strassen) was measured and removed: in BLIS the
+packing is the GEMM kernel's own, nearly free, but here ``np.matmul``
+already packs inside the BLAS, so a Python-level pack is one more
+transposing memory pass each way.  Warm fused ``dgefmm`` with every
+product in place, relative to the batched design (``strassen1``, Xeon
+host with OpenBLAS on one thread; median of ten alternating runs, each
+the median of 41 calls, 15 at order 1024)::
 
     order  cutoff  all-direct / batched
        64      16  0.89
@@ -36,27 +55,23 @@ alternating runs, each the median of 41 calls, 15 at order 1024)::
       512      64  0.90
      1024     128  0.92
 
-A product may write straight into its output view only when that view
-provably aliases neither input and ``beta == 0``; ``safe`` records the
-first condition at compile time (see :func:`_overlaps`).  Otherwise the
-product lands in one scratch slot past the plan's temporaries, sized
-for the largest product, and is combined into the output with
-``dgemm``'s scalar arithmetic order.
+A fused product may write straight into its output view only when that
+view provably aliases neither input and ``beta == 0``; ``safe`` records
+the first condition at compile time (see :func:`_overlaps`).  Otherwise
+the product lands in one Fortran-ordered scratch slot past the plan's
+temporaries, sized for the largest product, and is combined into the
+output with ``dgemm``'s scalar arithmetic order.
 
-Numerics: the direct ``np.matmul`` applies the BLAS kernel, which
-differs from the tiled-``einsum`` substrate kernel (and may differ from
-a strided vendor call) in accumulation order only.  Fused execution is
-therefore *deterministic* (same plan, same operands, same bits every
-replay) but is checked against the reference with the oracle's standard
-dtype tolerance rather than bit-compared against the interpreted path;
-the compensated elementwise chains stay bit-identical.  That is why
-``fuse`` is a :class:`~repro.core.config.GemmConfig` field: it keys
-:class:`~repro.plan.compiler.PlanSignature`, so fused and interpreted
-plans can never collide in one cache.
-
-The fused path runs only for plain numeric replay — no tracing, no dry
-run, no attached machine model (those need per-op hooks); the executor
-falls back to interpreted replay otherwise, from the same plan.
+Numerics of fused plans: the direct ``np.matmul`` applies the BLAS
+kernel, which differs from the tiled-``einsum`` substrate kernel (and
+may differ from a strided vendor call) in accumulation order only.
+Fused execution is therefore *deterministic* (same plan, same operands,
+same bits every replay) but is checked against the reference with the
+oracle's standard dtype tolerance rather than bit-compared against the
+unfused path.  That is why ``fuse`` is a
+:class:`~repro.core.config.GemmConfig` field: it keys
+:class:`~repro.plan.compiler.PlanSignature`, so fused and unfused plans
+can never collide in one cache.
 """
 
 from __future__ import annotations
@@ -65,9 +80,10 @@ from typing import Any, List, Tuple
 
 import numpy as np
 
-from repro.blas.level3 import gemm_flops
+from repro.blas.level3 import dgemm_numeric, gemm_flops
 from repro.core.peeling import apply_fixups, apply_fixups_head
 from repro.core.pool import _align_up
+from repro.errors import ArgumentError, DimensionError
 from repro.plan.ops import (
     OP_ACCUM,
     OP_AXPBY,
@@ -78,48 +94,50 @@ from repro.plan.ops import (
     ROOT_TEMP,
 )
 
-__all__ = ["FusedProgram", "fuse_plan", "run_fused",
+__all__ = ["FusedProgram", "lower_ops", "fuse_plan", "run_fused",
            "FS_EW", "FS_FIXUP", "OP_DIRECT"]
 
-# fused step kinds (first element of every step tuple)
+# step kinds (first element of every step tuple)
 FS_EW = 0      # (FS_EW, ops, charges)       inline run
-FS_FIXUP = 1   # (FS_FIXUP, fixup_op)        interpreted peel fix-up
+FS_FIXUP = 1   # (FS_FIXUP, fixup_op)        peel fix-up
 
-#: pseudo-op inside an FS_EW run: a base-case product executed in place
+#: pseudo-op inside a fused run: a base-case product executed in place
 #: by one strided ``np.matmul`` — (OP_DIRECT, ai, bi, ci, al, be, safe)
 #: where ``safe`` means the output region provably aliases neither
 #: input, so ``beta == 0`` may write straight into the output view
 OP_DIRECT = 7
 
-_EW_NAMES = {OP_MADD: "madd", OP_MSUB: "msub",
-             OP_ACCUM: "accum", OP_AXPBY: "axpby"}
-#: position of the written region in each elementwise op
-_EW_OUT = {OP_MADD: 3, OP_MSUB: 3, OP_ACCUM: 2, OP_AXPBY: 4}
+#: kernel charged for each lowered opcode (OP_MADD..OP_GEMM)
+_KERNELS = ("madd", "msub", "accum", "axpby", "dgemm")
 
 
 class FusedProgram:
-    """A compiled fused replay program for one branch-free plan.
+    """A lowered replay program for one op stream of one plan.
 
     ``steps`` is the flat step tuple described in the module docstring.
-    ``arena_bytes`` covers the base plan's temporaries plus the one
-    direct-product scratch slot at ``direct_off``; the executor sizes
-    the arena from it when replaying fused.  ``groups`` lists batched
-    product groups as ``(d, m, k, n, ...)`` entries for introspection;
-    it is always empty, since every product runs in place.
+    ``arena_bytes`` covers the base plan's temporaries plus, in a fused
+    program, the one direct-product scratch slot at ``direct_off``; the
+    executor sizes the arena from it.  ``nb``/``backend`` are the base
+    kernel of an unfused program's ``OP_GEMM`` products (None in a
+    fused one).  ``groups`` lists batched product groups as
+    ``(d, m, k, n, ...)`` entries for introspection; it is always
+    empty, since every product runs in place.
     """
 
     __slots__ = ("steps", "dtype", "arena_bytes", "direct_off",
-                 "n_direct", "_bind_cache")
+                 "n_direct", "nb", "backend", "_bind_cache")
 
     groups: Tuple[tuple, ...] = ()
 
     def __init__(self, steps, dtype, arena_bytes, direct_off,
-                 n_direct) -> None:
+                 n_direct, nb=None, backend=None) -> None:
         self.steps: Tuple[tuple, ...] = steps
         self.dtype = np.dtype(dtype)
         self.arena_bytes = int(arena_bytes)
         self.direct_off = direct_off
         self.n_direct = n_direct
+        self.nb = nb
+        self.backend = backend
         #: per-arena-buffer cache of direct-scratch views, keyed by the
         #: buffer's id with the buffer stored for identity checks (same
         #: discipline as ExecutionPlan._temp_cache)
@@ -133,7 +151,7 @@ class FusedProgram:
 
 
 # ---------------------------------------------------------------------- #
-# the fusion pass
+# the lowering pass
 # ---------------------------------------------------------------------- #
 class _RegInfo:
     """Precomputed overlap geometry for one plan region."""
@@ -170,57 +188,100 @@ def _overlaps(p: _RegInfo, q: _RegInfo) -> bool:
             and p.c0 < q.c1 and q.c0 < p.c1)
 
 
-def fuse_plan(plan) -> FusedProgram:
-    """Compile a branch-free :class:`ExecutionPlan` into fused steps."""
-    if plan.branches:
-        raise ValueError("fuse_plan: parallel plans fuse per branch")
+def lower_ops(plan, ops, *, direct: bool = False) -> FusedProgram:
+    """Lower one quiet op stream of ``plan`` into a replay program.
+
+    ``direct`` turns every base product into an in-place ``OP_DIRECT``
+    (a fused program); otherwise products stay ``OP_GEMM`` on the
+    plan's own kernel.  Raises :class:`~repro.errors.DimensionError` or
+    :class:`~repro.errors.ArgumentError` when an op fails a check the
+    per-op kernels would have made on every replay.
+    """
     itemsize = plan.dtype.itemsize
     regions = plan.regions
-    info = [_RegInfo(d, itemsize) for d in regions]
+    shape = [(d[6], d[7]) for d in regions]
+    if direct:
+        info = [_RegInfo(d, itemsize) for d in regions]
+        nb = backend = None
+    else:
+        nb, backend = plan.nb, plan.backend
 
     steps: List[tuple] = []
     run: List[tuple] = []
-    charge: dict = {}   # kernel -> [calls, muls, adds]
+    # per-run tallies, indexed by opcode: calls, muls, adds
+    calls = [0] * 5
+    muls = [0.0] * 5
+    adds = [0.0] * 5
     direct_max = n_direct = 0
 
     def close_run() -> None:
         if not run:
             return
         charges = tuple(
-            (name, calls, muls, adds)
-            for name, (calls, muls, adds) in charge.items()
+            (_KERNELS[code], calls[code], muls[code], adds[code])
+            for code in range(5) if calls[code]
         )
         steps.append((FS_EW, tuple(run), charges))
         run.clear()
-        charge.clear()
+        calls[:] = [0] * 5
+        muls[:] = adds[:] = [0.0] * 5
 
-    for op in plan.ops_quiet:
+    def mismatch(op, got, want):
+        raise DimensionError(
+            f"{_KERNELS[op[0]]}: operand has shape {got}, expected "
+            f"{want} (plan op {op!r})"
+        )
+
+    for op in ops:
         code = op[0]
-        if code == OP_FIXUP:
+        if code == OP_MADD or code == OP_MSUB:
+            rc = shape[op[3]]
+            if shape[op[1]] != rc:
+                mismatch(op, shape[op[1]], rc)
+            if shape[op[2]] != rc:
+                mismatch(op, shape[op[2]], rc)
+        elif code == OP_AXPBY:
+            rc = shape[op[4]]
+            if shape[op[2]] != rc:
+                mismatch(op, shape[op[2]], rc)
+        elif code == OP_ACCUM:
+            rc = shape[op[2]]
+            if shape[op[1]] != rc:
+                mismatch(op, shape[op[1]], rc)
+            if regions[op[1]] == regions[op[2]]:
+                raise ArgumentError("accum", "out", "must not alias x")
+        elif code == OP_GEMM:
+            _, ai, bi, ci, al, be = op
+            m, k = shape[ai]
+            if shape[bi][0] != k:
+                mismatch(op, shape[bi], (k, shape[bi][1]))
+            n = shape[bi][1]
+            if shape[ci] != (m, n):
+                mismatch(op, shape[ci], (m, n))
+            gm, ga = gemm_flops(m, k, n)
+            calls[code] += 1
+            muls[code] += gm
+            adds[code] += ga
+            if direct:
+                safe = (not _overlaps(info[ci], info[ai])
+                        and not _overlaps(info[ci], info[bi]))
+                run.append((OP_DIRECT, ai, bi, ci, al, be, safe))
+                n_direct += 1
+                direct_max = max(direct_max, m * n * itemsize)
+            else:
+                run.append(op)
+            continue
+        elif code == OP_FIXUP:
             # fix-ups read and write full root windows: barrier
             close_run()
             steps.append((FS_FIXUP, op))
             continue
-        if code == OP_GEMM:
-            _, ai, bi, ci, al, be = op
-            m, k = regions[ai][6], regions[ai][7]
-            n = regions[bi][7]
-            safe = (not _overlaps(info[ci], info[ai])
-                    and not _overlaps(info[ci], info[bi]))
-            run.append((OP_DIRECT, ai, bi, ci, al, be, safe))
-            name = "dgemm"
-            muls, adds = gemm_flops(m, k, n)
-            n_direct += 1
-            direct_max = max(direct_max, m * n * itemsize)
         else:
-            run.append(op)
-            name = _EW_NAMES[code]
-            rows, cols = regions[op[_EW_OUT[code]]][6:8]
-            muls, adds = 0.0, float(rows) * cols
-        entry = charge.setdefault(name, [0, 0.0, 0.0])
-        entry[0] += 1
-        entry[1] += muls
-        entry[2] += adds
+            raise ArgumentError(
+                "lower_ops", "ops", f"cannot lower plan op {op!r}")
+        calls[code] += 1
+        adds[code] += float(rc[0]) * rc[1]
+        run.append(op)
     close_run()
 
     # the direct-product scratch is transient within a single OP_DIRECT,
@@ -229,23 +290,21 @@ def fuse_plan(plan) -> FusedProgram:
     arena_bytes = (direct_off + _align_up(direct_max) if direct_max
                    else plan.arena_bytes)
     return FusedProgram(tuple(steps), plan.dtype, arena_bytes,
-                        direct_off, n_direct)
+                        direct_off, n_direct, nb, backend)
+
+
+def fuse_plan(plan) -> FusedProgram:
+    """Compile a branch-free :class:`ExecutionPlan` into fused steps."""
+    if plan.branches:
+        raise ValueError("fuse_plan: parallel plans fuse per branch")
+    return lower_ops(plan, plan.ops_quiet, direct=True)
 
 
 # ---------------------------------------------------------------------- #
-# fused replay
+# the inline replay loop
 # ---------------------------------------------------------------------- #
-def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
-              buf) -> None:
-    """Replay a fused program over the resolved region table ``v``.
-
-    ``st`` is the executor's scalar table ``(alpha, -alpha, beta,
-    -beta)``; ``buf`` the arena buffer (sized to ``fp.arena_bytes`` so
-    the direct scratch exists past the base plan's temporaries).  Only
-    called for plain numeric contexts (no trace/dry/machine) — the
-    aggregate charges below then equal the interpreted path's exactly.
-    """
-    dtype = fp.dtype
+def _scratch_views(fp: FusedProgram, buf) -> dict:
+    """The per-buffer cache of direct-scratch views for ``buf``."""
     cache = fp._bind_cache
     entry = cache.get(id(buf))
     if entry is None or entry[0] is not buf:
@@ -253,7 +312,24 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
             cache.clear()
         entry = (buf, {})
         cache[id(buf)] = entry
-    bound = entry[1]
+    return entry[1]
+
+
+def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
+              buf) -> None:
+    """Replay a lowered program over the resolved region table ``v``.
+
+    ``st`` is the executor's scalar table ``(alpha, -alpha, beta,
+    -beta)``; ``buf`` the arena buffer (sized to ``fp.arena_bytes``, so
+    a fused program's direct scratch exists past the base plan's
+    temporaries).  Only called for plain numeric contexts of
+    ``accuracy="fast"`` plans (no trace/dry/machine) — the aggregate
+    charges below then equal the per-op path's exactly.
+    """
+    dtype = fp.dtype
+    real = dtype.kind == "f"
+    nb, backend = fp.nb, fp.backend
+    bound = _scratch_views(fp, buf) if fp.direct_off is not None else None
 
     for step in fp.steps:
         if step[0] == FS_EW:
@@ -276,6 +352,7 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
                 elif oc == OP_ACCUM:
                     v[op[2]] += v[op[1]]
                 elif oc == OP_AXPBY:
+                    # repro.blas.addsub.axpby, branch for branch
                     _, al, xi, be, yi = op
                     al = st[al] if al.__class__ is int else al
                     be = st[be] if be.__class__ is int else be
@@ -287,13 +364,26 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
                             y[...] = v[xi]
                         else:
                             np.multiply(v[xi], al, out=y)
-                    else:
-                        if be != 1.0:
-                            y *= be
-                        if al == 1.0:
-                            y += v[xi]
-                        elif al != 0.0:
-                            y += al * v[xi]
+                        continue
+                    if be != 1.0:
+                        if be == -1.0 and al == 1.0 and real:
+                            np.subtract(v[xi], y, out=y)
+                            continue
+                        y *= be
+                    if al == 1.0:
+                        y += v[xi]
+                    elif al == -1.0 and real:
+                        y -= v[xi]
+                    elif al != 0.0:
+                        y += al * v[xi]
+                elif oc == OP_GEMM:
+                    _, ai, bi, ci, al, be = op
+                    dgemm_numeric(
+                        v[ai], v[bi], v[ci],
+                        st[al] if al.__class__ is int else al,
+                        st[be] if be.__class__ is int else be,
+                        nb, backend,
+                    )
                 else:  # OP_DIRECT
                     _, ai, bi, ci, al, be, safe = op
                     al = st[al] if al.__class__ is int else al
@@ -310,9 +400,11 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
                             sm, sn = key
                             nb_ = sm * sn * dtype.itemsize
                             off = fp.direct_off
+                            # F-ordered like every plan region, so the
+                            # combine below walks matching layouts
                             s = bound[key] = (
                                 buf[off:off + nb_].view(dtype)
-                                .reshape(key)
+                                .reshape(key, order="F")
                             )
                         np.matmul(v[ai], v[bi], out=s)
                         if al != 1.0:

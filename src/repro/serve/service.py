@@ -83,9 +83,9 @@ class GemmService:
         frozen, hashable criterion — it is part of the plan signature).
     fuse:
         Default for the per-request ``fuse`` knob: serve batches
-        through the fused replay loop (:mod:`repro.plan.fuse`) instead
-        of the interpreted op stream.  Part of the plan signature, so
-        fused and interpreted traffic batch separately.
+        through fused plans (:mod:`repro.plan.fuse`), whose base
+        products run in place with ``np.matmul``.  Part of the plan
+        signature, so fused and unfused traffic batch separately.
     plan_cache, pool, metrics:
         Bring-your-own shared instances (e.g. one cache across several
         services), or None for private ones.
@@ -376,7 +376,7 @@ class GemmService:
                 arena = self.pool.checkout()
                 pooled = True
                 # fused replay binds its product scratch slot past the
-                # interpreted arena top, so pre-warm with the larger
+                # plan's arena top, so pre-warm with the larger
                 # requirement
                 need = (plan.fused.arena_bytes if plan.fused is not None
                         else plan.arena_bytes)

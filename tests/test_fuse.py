@@ -239,6 +239,23 @@ class TestFusedNumerics:
         assert ctx_f.mul_flops == ctx_i.mul_flops
         assert ctx_f.add_flops == ctx_i.add_flops
 
+    def test_direct_scratch_views_are_f_contiguous(self):
+        """The direct-product scratch slot is Fortran-ordered like every
+        plan region, so ``beta != 0`` combines walk matching layouts."""
+        rng = np.random.default_rng(14)
+        a, b, c = _mats(rng, 33, 12, 29)
+        plan = compile_plan(_sig(33, 12, 29, beta=0.5))
+        got = _run(plan, a, b, c.copy(order="F"), 1.5, 0.5)
+        views = [s for _buf, bound in plan.fused._bind_cache.values()
+                 for s in bound.values()]
+        assert views
+        assert all(s.flags.f_contiguous for s in views)
+        # at least one slot is 2-D enough for the order to matter
+        assert any(not s.flags.c_contiguous for s in views)
+        expect = 1.5 * (a @ b) + 0.5 * c
+        scale = max(1.0, float(np.max(np.abs(expect))))
+        assert np.max(np.abs(got - expect)) <= 1e-9 * scale
+
     def test_trace_and_dry_fall_back_to_interpreted(self):
         rng = np.random.default_rng(3)
         a, b, c = _mats(rng, 16, 16, 16)
