@@ -14,11 +14,13 @@ it.  Whatever either driver spends above that floor is its per-call
 overhead.
 """
 
+import os
+import statistics
 import time
 
 import numpy as np
 
-from benchmarks.conftest import emit, emit_json
+from benchmarks.conftest import emit, emit_json, host_block, update_json
 from repro.context import ExecutionContext
 from repro.core.config import GemmConfig
 from repro.core.cutoff import SimpleCutoff
@@ -349,4 +351,83 @@ def test_traversal_refactor_guard(benchmark):
         assert t <= _GUARD_SLACK * ref, (
             f"{key} regressed: {t * 1e3:.2f} ms vs pre-refactor "
             f"{ref * 1e3:.2f} ms (allowed {_GUARD_SLACK}x)"
+        )
+
+
+#: odd and rectangular three-level shapes in 150..400 (the cold-serving
+#: regime: cutoff ``min(m, k, n) // 8 + 1``); odd entries get beta != 0
+_COLD_SHAPES = [
+    (151, 163, 157), (296, 380, 163), (172, 174, 253), (329, 219, 292),
+    (251, 280, 245), (397, 155, 263), (173, 359, 211), (237, 301, 389),
+]
+
+
+def test_plan_compile_cold(benchmark):
+    """Cold compile vs warm replay of the same three-level plans.
+
+    A cold request compiles its plan once and replays it once, so the
+    compile's share of a cold request is compile / (compile + replay).
+    Compiling records each distinct subproblem once (about a dozen of
+    the ~400 recursion nodes) and splices it in everywhere else, which
+    keeps the compile under half of one warm replay.
+    """
+    rng = np.random.default_rng(5)
+    work = []
+    for i, (m, k, n) in enumerate(_COLD_SHAPES):
+        beta = 0.5 if i % 2 else 0.0
+        crit = SimpleCutoff(min(m, k, n) // 8 + 1)
+        sig = signature_for("serial", m, k, n, False, False, False,
+                            beta == 0.0, "float64", GemmConfig(cutoff=crit))
+        a = np.asfortranarray(rng.standard_normal((m, k)))
+        b = np.asfortranarray(rng.standard_normal((k, n)))
+        c = np.asfortranarray(rng.standard_normal((m, n)))
+        work.append((sig, crit, beta, a, b, c))
+
+    pool = WorkspacePool()
+    cache = PlanCache()
+    compile_s, replay_s = [], []
+    for sig, crit, beta, a, b, c in work:
+
+        def replay():
+            dgefmm(a, b, c, 1.0, beta, cutoff=crit, pool=pool,
+                   plan_cache=cache)
+
+        replay()    # compiles once and grows the pooled arena
+        compile_s.append(_best(lambda: compile_plan(sig), 5))
+        replay_s.append(_best(replay, 5))
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+    compile_p50 = 1e3 * statistics.median(compile_s)
+    replay_p50 = 1e3 * statistics.median(replay_s)
+    ratio = compile_p50 / replay_p50
+    emit(
+        "Cold plan compile vs warm replay, 3-level odd/rectangular shapes",
+        f"compile p50 {compile_p50:.2f} ms, warm replay p50 "
+        f"{replay_p50:.2f} ms, ratio {ratio:.2f} (gate 0.5 on "
+        f">= 2 cpus; {os.cpu_count()} here)",
+    )
+    update_json(
+        "plan_fused",
+        compile_cold={
+            "shapes": ["x".join(map(str, s)) for s in _COLD_SHAPES],
+            "cutoff": "min(m, k, n) // 8 + 1",
+            "repeats": 5,
+            "rows": [
+                {"shape": "x".join(map(str, (sig.m, sig.k, sig.n))),
+                 "beta": beta, "compile_ms": 1e3 * tc,
+                 "replay_warm_ms": 1e3 * tr}
+                for (sig, _crit, beta, *_ops), tc, tr
+                in zip(work, compile_s, replay_s)
+            ],
+            "compile_ms_p50": compile_p50,
+            "replay_warm_ms_p50": replay_p50,
+            "compile_over_replay": ratio,
+            "gate": 0.5,
+            "host": host_block(),
+        },
+    )
+    if (os.cpu_count() or 1) >= 2:
+        assert ratio <= 0.5, (
+            f"cold compile {compile_p50:.2f} ms is {ratio:.2f}x a warm "
+            f"replay ({replay_p50:.2f} ms); gate 0.5x"
         )

@@ -42,3 +42,40 @@ def emit_json(bench: str, params: dict, rows: list, **extra) -> str:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def host_block() -> dict:
+    """The host conditions a timing depends on: CPU count and affinity,
+    BLAS name, version and thread setting, numpy and python."""
+    import numpy as np
+
+    from repro.tune.store import host_fingerprint
+
+    info = host_fingerprint()
+    if hasattr(os, "sched_getaffinity"):
+        info["affinity"] = sorted(os.sched_getaffinity(0))
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        info["blas"], info["blas_version"] = blas.get("name"), blas.get(
+            "version")
+    except (KeyError, TypeError):
+        info["blas"] = info["blas_version"] = None
+    info["blas_threads_env"] = os.environ.get("OPENBLAS_NUM_THREADS")
+    return info
+
+
+def update_json(bench: str, **sections) -> str:
+    """Add top-level ``sections`` to ``BENCH_<bench>.json``, keeping what
+    another test of the same module already wrote there."""
+    outdir = os.environ.get("BENCH_JSON_DIR", ".")
+    path = os.path.join(outdir, f"BENCH_{bench}.json")
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError):
+        doc = {"bench": bench, "schema": 1, "params": {}, "rows": []}
+    doc.update(sections)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path

@@ -279,7 +279,10 @@ def _plan_selftest(json_out: bool = False) -> int:
     Each case checks the planned replay (the inline loop) against the
     eager recursive driver — bits, kernel calls, mul/add flops — and
     against a traced replay of the same plan, which runs the per-op
-    kernel loop.  The last case is a parallel plan (``pdgefmm``).
+    kernel loop.  151x163x157 at cutoff 20 recurses three levels and
+    peels at every one, so most of its plan is subtree templates
+    relocated into peeled cores.  The last case is a parallel plan
+    (``pdgefmm``).
     """
     import numpy as np
 
@@ -292,19 +295,19 @@ def _plan_selftest(json_out: bool = False) -> int:
     from repro.plan import PlanCache
     from repro.plan.compiler import signature_for
 
-    crit = SimpleCutoff(8)
     cache = PlanCache()
     rng = np.random.default_rng(0)
-    cases = [("serial", 16, 16, 16), ("serial", 17, 13, 19),
-             ("serial", 24, 10, 31), ("serial", 29, 29, 29),
-             ("parallel", 33, 27, 35)]
+    cases = [("serial", 16, 16, 16, 8), ("serial", 17, 13, 19, 8),
+             ("serial", 24, 10, 31, 8), ("serial", 29, 29, 29, 8),
+             ("serial", 151, 163, 157, 20), ("parallel", 33, 27, 35, 8)]
 
     def tallies(ctx):
         return (ctx.kernel_calls, ctx.mul_flops, ctx.add_flops)
 
     rows = []
     ok = True
-    for kind, mm, kk, nn in cases:
+    for kind, mm, kk, nn, tau in cases:
+        crit = SimpleCutoff(tau)
         a = np.asfortranarray(rng.standard_normal((mm, kk)))
         b = np.asfortranarray(rng.standard_normal((kk, nn)))
         c0 = np.asfortranarray(rng.standard_normal((mm, nn)))
@@ -341,13 +344,14 @@ def _plan_selftest(json_out: bool = False) -> int:
                 pr = plan is not None and bool(plan.branches)
             ok = ok and bit and kc and fl and tr and pr
             rows.append({"kind": kind, "m": mm, "k": kk, "n": nn,
-                         "alpha": alpha, "beta": beta,
+                         "cutoff": tau, "alpha": alpha, "beta": beta,
                          "bit_identical": bit, "kernel_counts_match": kc,
                          "flops_match": fl, "traced_match": tr,
                          "profile_match": pr})
             if not json_out:
                 mark = {True: "ok", False: "FAILED"}
-                print(f"plan {kind} {mm}x{kk}x{nn} alpha={alpha} "
+                print(f"plan {kind} {mm}x{kk}x{nn} cutoff={tau} "
+                      f"alpha={alpha} "
                       f"beta={beta}: bit-identical {mark[bit]}, "
                       f"kernel counts {mark[kc]}, flops {mark[fl]}, "
                       f"traced replay {mark[tr]}, "
@@ -356,17 +360,17 @@ def _plan_selftest(json_out: bool = False) -> int:
     # warm replay: every signature is cached now, so only hits accrue
     before = cache.stats()
     serial = [case[1:] for case in cases if case[0] == "serial"]
-    for mm, kk, nn in serial:
+    for mm, kk, nn, tau in serial:
         a = np.asfortranarray(rng.standard_normal((mm, kk)))
         b = np.asfortranarray(rng.standard_normal((kk, nn)))
         c = np.zeros((mm, nn), order="F")
-        dgefmm(a, b, c, cutoff=crit, plan_cache=cache)
+        dgefmm(a, b, c, cutoff=SimpleCutoff(tau), plan_cache=cache)
     after = cache.stats()
     warm = (after["misses"] == before["misses"]
             and after["hits"] == before["hits"] + len(serial))
     ok = ok and warm
     if json_out:
-        _print_bench_json("plan_selftest", {"cutoff": 8}, rows,
+        _print_bench_json("plan_selftest", {}, rows,
                           cache=after, warm_replay_all_hits=warm, ok=ok)
     else:
         print(f"warm replay: {'all hits' if warm else 'UNEXPECTED MISSES'}"
@@ -382,10 +386,14 @@ def _cmd_plan(args) -> int:
     if args.action == "cache-stats":
         return _plan_cache_stats(args)
 
+    import time
+
     from repro.plan import compile_plan
 
     sig = _plan_signature(args)
+    t0 = time.perf_counter()
     plan = compile_plan(sig)
+    compile_ms = 1e3 * (time.perf_counter() - t0)
     if args.action == "explain":
         lines = plan.describe(max_ops=args.max_ops)
         if args.json:
@@ -403,6 +411,7 @@ def _cmd_plan(args) -> int:
         "peak_bytes": plan.peak_bytes,
         "charge_bytes": plan.charge_bytes,
         "plan_nbytes": plan.nbytes,
+        "compile_ms": compile_ms,
         "counts": counts,
     }
     if args.json:
@@ -410,7 +419,7 @@ def _cmd_plan(args) -> int:
         return 0
     print(f"signature: {sig}")
     print(f"ops {plan.n_ops}, regions {len(plan.regions)}, "
-          f"branches {len(plan.branches)}")
+          f"branches {len(plan.branches)}, compiled in {compile_ms:.2f} ms")
     print(f"arena {plan.arena_bytes:,} B, workspace peak "
           f"{plan.peak_bytes:,} B, pool charge {plan.charge_bytes:,} B, "
           f"plan size ~{plan.nbytes:,} B")
