@@ -33,8 +33,13 @@ def emit_json(bench: str, params: dict, rows: list, **extra) -> str:
     in their rows: ``{"counters", "histograms"`` (count/sum/min/max/
     mean/p50/p95/p99 each), ``"plan_cache", "pool", "queue", "work"}``
     — schema documented in docs/api.md, "Serving".
+
+    Every document carries a ``"host"`` block (:func:`host_block`), so
+    each committed number names the conditions it was taken under; a
+    caller's own ``host=`` keyword wins.
     """
-    doc = {"bench": bench, "schema": 1, "params": params, "rows": rows}
+    doc = {"bench": bench, "schema": 1, "params": params, "rows": rows,
+           "host": host_block()}
     doc.update(extra)
     outdir = os.environ.get("BENCH_JSON_DIR", ".")
     path = os.path.join(outdir, f"BENCH_{bench}.json")

@@ -281,8 +281,9 @@ def _plan_selftest(json_out: bool = False) -> int:
     against a traced replay of the same plan, which runs the per-op
     kernel loop.  151x163x157 at cutoff 20 recurses three levels and
     peels at every one, so most of its plan is subtree templates
-    relocated into peeled cores.  The last case is a parallel plan
-    (``pdgefmm``).
+    relocated into peeled cores; it runs once more on the vendor
+    backend, whose fix-ups use the vendor DGEMV.  The last case is a
+    parallel plan (``pdgefmm``).
     """
     import numpy as np
 
@@ -297,16 +298,19 @@ def _plan_selftest(json_out: bool = False) -> int:
 
     cache = PlanCache()
     rng = np.random.default_rng(0)
-    cases = [("serial", 16, 16, 16, 8), ("serial", 17, 13, 19, 8),
-             ("serial", 24, 10, 31, 8), ("serial", 29, 29, 29, 8),
-             ("serial", 151, 163, 157, 20), ("parallel", 33, 27, 35, 8)]
+    sub = "substrate"
+    cases = [("serial", 16, 16, 16, 8, sub), ("serial", 17, 13, 19, 8, sub),
+             ("serial", 24, 10, 31, 8, sub), ("serial", 29, 29, 29, 8, sub),
+             ("serial", 151, 163, 157, 20, sub),
+             ("serial", 151, 163, 157, 20, "vendor"),
+             ("parallel", 33, 27, 35, 8, sub)]
 
     def tallies(ctx):
         return (ctx.kernel_calls, ctx.mul_flops, ctx.add_flops)
 
     rows = []
     ok = True
-    for kind, mm, kk, nn, tau in cases:
+    for kind, mm, kk, nn, tau, backend in cases:
         crit = SimpleCutoff(tau)
         a = np.asfortranarray(rng.standard_normal((mm, kk)))
         b = np.asfortranarray(rng.standard_normal((kk, nn)))
@@ -319,12 +323,12 @@ def _plan_selftest(json_out: bool = False) -> int:
                 outs[path] = c0.copy(order="F")
                 ctxs[path] = ExecutionContext(trace=path == "traced")
                 drive(a, b, outs[path], alpha, beta, cutoff=crit,
-                      ctx=ctxs[path],
+                      backend=backend, ctx=ctxs[path],
                       plan_cache=None if path == "eager" else cache,
                       **extra)
             sig = signature_for(kind, mm, kk, nn, False, False,
                                 False, beta == 0.0, "float64",
-                                GemmConfig(cutoff=crit),
+                                GemmConfig(cutoff=crit, backend=backend),
                                 0 if kind == "serial" else 1)
             plan = cache.get(sig)
             bit = bool(np.array_equal(outs["eager"], outs["plain"]))
@@ -344,14 +348,15 @@ def _plan_selftest(json_out: bool = False) -> int:
                 pr = plan is not None and bool(plan.branches)
             ok = ok and bit and kc and fl and tr and pr
             rows.append({"kind": kind, "m": mm, "k": kk, "n": nn,
-                         "cutoff": tau, "alpha": alpha, "beta": beta,
+                         "cutoff": tau, "backend": backend,
+                         "alpha": alpha, "beta": beta,
                          "bit_identical": bit, "kernel_counts_match": kc,
                          "flops_match": fl, "traced_match": tr,
                          "profile_match": pr})
             if not json_out:
                 mark = {True: "ok", False: "FAILED"}
                 print(f"plan {kind} {mm}x{kk}x{nn} cutoff={tau} "
-                      f"alpha={alpha} "
+                      f"backend={backend} alpha={alpha} "
                       f"beta={beta}: bit-identical {mark[bit]}, "
                       f"kernel counts {mark[kc]}, flops {mark[fl]}, "
                       f"traced replay {mark[tr]}, "
@@ -360,11 +365,12 @@ def _plan_selftest(json_out: bool = False) -> int:
     # warm replay: every signature is cached now, so only hits accrue
     before = cache.stats()
     serial = [case[1:] for case in cases if case[0] == "serial"]
-    for mm, kk, nn, tau in serial:
+    for mm, kk, nn, tau, backend in serial:
         a = np.asfortranarray(rng.standard_normal((mm, kk)))
         b = np.asfortranarray(rng.standard_normal((kk, nn)))
         c = np.zeros((mm, nn), order="F")
-        dgefmm(a, b, c, cutoff=SimpleCutoff(tau), plan_cache=cache)
+        dgefmm(a, b, c, cutoff=SimpleCutoff(tau), backend=backend,
+               plan_cache=cache)
     after = cache.stats()
     warm = (after["misses"] == before["misses"]
             and after["hits"] == before["hits"] + len(serial))

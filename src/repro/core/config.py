@@ -62,11 +62,16 @@ class GemmConfig:
     ``nb``
         Tile edge for the base-case standard-algorithm kernel.
     ``backend``
-        Base-case kernel backend (:data:`repro.blas.level3.BACKENDS`).
+        Kernel backend (:data:`repro.blas.level3.BACKENDS`) of the
+        base-case products and of the peeling fix-up DGEMVs:
+        ``"substrate"`` runs numpy ``einsum`` loops, ``"vendor"`` the
+        BLAS behind ``np.matmul``.
     ``fuse``
         Opt-in plan fusion (:mod:`repro.plan.fuse`): compiled plans
-        run each base-case product in place by one ``np.matmul`` call
-        (every fast plan already replays without per-op dispatch).
+        run each base-case product in place by one ``np.matmul`` call,
+        and their fix-up DGEMVs on ``np.matmul`` too, whatever
+        ``backend`` says (every fast plan already replays without
+        per-op dispatch).
         Only the plan path reads it (``plan_cache=``); the recursive
         drivers ignore it.  Because the ``np.matmul`` accumulation
         order differs from the tiled substrate kernel, ``fuse`` keys

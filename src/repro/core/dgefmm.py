@@ -172,9 +172,10 @@ def dgefmm(
     nb:
         Tile edge for the base-case standard-algorithm kernel.
     backend:
-        Base-case kernel backend (see :data:`repro.blas.level3.BACKENDS`):
+        Kernel backend (see :data:`repro.blas.level3.BACKENDS`) of the
+        base-case products and the peeling fix-up DGEMVs:
         ``"substrate"`` (default, the package's own standard-algorithm
-        kernel) or ``"vendor"`` (numpy's BLAS matmul) for modern-host
+        kernels) or ``"vendor"`` (numpy's BLAS matmul) for modern-host
         practicality experiments.
     plan_cache:
         A :class:`~repro.plan.cache.PlanCache`.  When given (and not in
@@ -394,7 +395,7 @@ def _rec(
     if node.peeled:
         if cfg.peel == "tail":
             apply_fixups(a, b, c, alpha, beta, ctx=ctx,
-                         divisors=node.divisors)
+                         divisors=node.divisors, backend=cfg.backend)
         else:
             apply_fixups_head(a, b, c, alpha, beta, ctx=ctx,
-                              divisors=node.divisors)
+                              divisors=node.divisors, backend=cfg.backend)

@@ -257,16 +257,22 @@ def pdgefmm(
     its true depth with the same frozen
     :class:`~repro.core.config.GemmConfig`.  The driver accepts the full
     serial knob set — ``cutoff``, ``scheme``, ``peel``, ``nb``,
-    ``backend`` — and produces bit-identical results to
-    :func:`~repro.core.dgefmm.dgefmm` with the same knobs.  Schemes
-    whose level is outside :data:`PARALLEL_LEVELS` (``textbook``'s
-    15-add combine tree, ``laderman``'s 23-product ⟨3,3,3⟩ partition)
-    and any call whose top-level decision is a base case fall back to
-    the serial driver.  Depth-sensitive cutoff
-    criteria (e.g. :class:`~repro.core.cutoff.DepthCutoff`) are fully
-    supported: the traversal passes the current depth to ``stop`` at
-    every node, so the criterion stays frozen and shareable across the
-    concurrent recursions.
+    ``backend`` — with the same recursion structure and base kernels as
+    :func:`~repro.core.dgefmm.dgefmm`.  Schemes whose level is outside
+    :data:`PARALLEL_LEVELS` (``textbook``'s 15-add combine tree,
+    ``laderman``'s 23-product ⟨3,3,3⟩ partition) and any call whose
+    top-level decision is a base case fall back to the serial driver,
+    and only those results are bit-identical to ``dgefmm``.  A parallel
+    level forms all seven Winograd products first and combines them
+    afterwards, an order of additions no serial schedule uses, so its
+    results agree with ``dgefmm`` to roundoff but may differ in the
+    last bits (at 256³ and cutoff 32, max |Δ| 1.8e-14 with max |C| ≈
+    74).  Replay of a parallel plan is bit-identical to this driver.
+    Depth-sensitive cutoff criteria (e.g.
+    :class:`~repro.core.cutoff.DepthCutoff`) are fully supported: the
+    traversal passes the current depth to ``stop`` at every node, so
+    the criterion stays frozen and shareable across the concurrent
+    recursions.
 
     ``pool`` supplies reusable per-worker workspace arenas; ``workspace``
     (if given) is used for the top level's S/T/P blocks exactly as
@@ -437,10 +443,11 @@ def _prun(
         if node.peeled:
             if cfg.peel == "tail":
                 apply_fixups(a, b, c, alpha, beta, ctx=ctx,
-                             divisors=node.divisors)
+                             divisors=node.divisors, backend=cfg.backend)
             else:
                 apply_fixups_head(a, b, c, alpha, beta, ctx=ctx,
-                                  divisors=node.divisors)
+                                  divisors=node.divisors,
+                                  backend=cfg.backend)
     except BaseException:
         if pooled:
             pool.release(ws)

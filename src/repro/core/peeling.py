@@ -17,7 +17,10 @@ The three steps are exactly the paper's combined fix-up: one BLAS
 rank-one update plus two matrix-vector products — no special cases
 inside the Strassen schedules and no extra temporary memory.  The DGER
 streams ``C11`` once, in cache-sized blocks, so the O(n²) fix-up costs
-about one pass over C rather than a whole-matrix temporary.  For a
+about one pass over C rather than a whole-matrix temporary.  The DGEMVs
+run on the caller's ``backend``, like its base products: numpy's
+``einsum`` under ``"substrate"``, the vendor GEMV (``np.matmul``) under
+``"vendor"`` and in every fused plan.  For a
 ⟨3,3,3⟩ scheme a dimension can peel *two* indices; the construction
 generalises index-wise (one DGER per peeled k column, one DGEMV per
 peeled n column, one transposed DGEMV per peeled m row) — the
@@ -83,6 +86,7 @@ def apply_fixups(
     *,
     ctx: Optional[ExecutionContext] = None,
     divisors: Tuple[int, int, int] = (2, 2, 2),
+    backend: str = "substrate",
 ) -> None:
     """Apply the peeling fix-up contributions to ``C`` in place.
 
@@ -98,6 +102,10 @@ def apply_fixups(
       **full** k, covering both the core and peeled-k contributions);
     - each peeled ``m`` row: transposed DGEMV for that row of C (full k
       and n, including the bottom-right corner block).
+
+    ``backend`` selects the DGEMV kernel
+    (:func:`repro.blas.level2.dgemv`); callers pass the one their base
+    products use.
     """
     m, k = a.shape
     n = b.shape[1]
@@ -112,7 +120,7 @@ def apply_fixups(
         for j in range(np_, n):
             dgemv(
                 a[:mp, :], b[:, j], c[:mp, j],
-                alpha=alpha, beta=beta, ctx=ctx,
+                alpha=alpha, beta=beta, ctx=ctx, backend=backend,
             )
     if mp < m:
         # row i <- alpha * B^T * A[i, :]^T + beta * row   (full k, n)
@@ -120,6 +128,7 @@ def apply_fixups(
             dgemv(
                 b, a[i, :], c[i, :],
                 alpha=alpha, beta=beta, trans=True, ctx=ctx,
+                backend=backend,
             )
 
 
@@ -132,6 +141,7 @@ def apply_fixups_head(
     *,
     ctx: Optional[ExecutionContext] = None,
     divisors: Tuple[int, int, int] = (2, 2, 2),
+    backend: str = "substrate",
 ) -> None:
     """Head-side fix-ups: mirror image of :func:`apply_fixups`.
 
@@ -150,11 +160,11 @@ def apply_fixups_head(
     if no and m - mo:
         for j in range(no):
             dgemv(a[mo:, :], b[:, j], c[mo:, j], alpha=alpha, beta=beta,
-                  ctx=ctx)
+                  ctx=ctx, backend=backend)
     if mo:
         for i in range(mo):
             dgemv(b, a[i, :], c[i, :], alpha=alpha, beta=beta, trans=True,
-                  ctx=ctx)
+                  ctx=ctx, backend=backend)
 
 
 def fixup_ops(

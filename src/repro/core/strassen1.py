@@ -23,14 +23,18 @@ total ``m*max(k,n)/4 + kn/4 + mn`` per level — the paper's bound
 ``(4mn + m*max(k,n) + kn)/3`` (``2m^2`` square) when all recursive calls
 use this same schedule.
 
-Scheduling note: keeping the strict two-temporary/six-temporary memory
-bound forces a *flattened* accumulation of the U-tree (each product is
-added into every quadrant that needs it), costing 18 block additions per
-level instead of the algorithm's minimal 15.  The paper's own schedule
-(in the unavailable tech report [14]) makes the same memory claim; the
-three extra O(m^2/4) additions are negligible against the O(m^3) product
-work and are visible only in the op-count instrumentation, where tests
-pin them down explicitly.
+Scheduling note: the beta = 0 variant accumulates the U-tree
+*flattened* (each product is added into every quadrant that needs it),
+costing 18 block additions per level instead of the algorithm's minimal
+15.  The two-temporary bound does not force this: with the same R1/R2,
+the order P7->C21, P5->C22, P6->C12, P3->C11, P1->R1, then U2..U7 in C,
+then P4 and P2 through C11 costs 15 (docs/algorithms.md, section 3).
+The 18-addition order stays because the calibrated paper exhibits and
+plan fingerprints pin its op counts.  The paper's own schedule (in the
+unavailable tech report [14]) makes the same memory claim; the three
+extra O(m^2/4) additions are negligible against the O(m^3) product work
+and are visible only in the op-count instrumentation, where tests pin
+them down explicitly.
 
 Both variants draw every temporary from the workspace passed in, never
 from the heap directly — so when the driver hands them a pooled arena

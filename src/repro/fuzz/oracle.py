@@ -12,6 +12,10 @@ result-producing paths:
   one);
 - ``parallel-plan`` — pdgefmm through a plan cache.
 
+Every path runs on the case's drawn ``backend``, which selects both
+the base products and the peeling fix-up DGEMVs (a fused program runs
+both on ``np.matmul`` whatever the backend).
+
 With ``fuse=True`` three more paths join: ``fused`` and
 ``fused-replay`` (dgefmm through a plan cache with the fusion pass on
 — the replay re-runs the same warm plan), and ``parallel-fused`` when
@@ -114,7 +118,7 @@ def _run_path(case: FuzzCase, path: str, plan_cache, pool):
             a, b, c, alpha, beta, case.transa, case.transb,
             cutoff=crit, scheme=case.scheme, peel=case.peel,
             plan_cache=plan_cache if path != "serial" else None,
-            fuse=fused, accuracy=case.accuracy,
+            fuse=fused, accuracy=case.accuracy, backend=case.backend,
         )
     else:
         pdgefmm(
@@ -126,6 +130,7 @@ def _run_path(case: FuzzCase, path: str, plan_cache, pool):
                         if path in ("parallel-plan", "parallel-fused")
                         else None),
             fuse=path == "parallel-fused", accuracy=case.accuracy,
+            backend=case.backend,
         )
     return c
 

@@ -52,6 +52,7 @@ class FuzzReport:
         for key in (
             f"dtype:{case.dtype}",
             f"accuracy:{case.accuracy}",
+            f"backend:{case.backend}",
             f"scheme:{case.scheme}",
             f"peel:{case.peel}",
             f"alias:{case.alias}",

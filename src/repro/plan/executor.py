@@ -165,7 +165,7 @@ def _run_ops(ops, v, st, ctx, nb, backend,
             fix(v[ai], v[bi], v[ci],
                 st[al] if al.__class__ is int else al,
                 st[be] if be.__class__ is int else be, ctx=ctx,
-                divisors=divisors)
+                divisors=divisors, backend=backend)
         else:  # OP_EVENT
             ctx.record(op[1])
 

@@ -26,7 +26,9 @@ into a :class:`FusedProgram` of two coarse step kinds:
     original stream position, by one strided ``np.matmul`` into the
     output view.
 - **Fix-ups** (``FS_FIXUP``): dynamic-peeling boundary updates pass
-  through to the peeling executors unchanged.
+  through to the peeling executors unchanged.  Their DGEMVs run on the
+  unfused program's ``backend``; a fused program runs them on the
+  vendor kernel (``np.matmul``, BLAS GEMV), as it runs its products.
 
 The checks the kernels would make on every op run once here instead:
 the x, y and output shapes of each elementwise op agree, each base
@@ -64,7 +66,8 @@ output with ``dgemm``'s scalar arithmetic order.
 
 Numerics of fused plans: the direct ``np.matmul`` applies the BLAS
 kernel, which differs from the tiled-``einsum`` substrate kernel (and
-may differ from a strided vendor call) in accumulation order only.
+may differ from a strided vendor call) in accumulation order only; the
+fix-up DGEMVs likewise run on the BLAS GEMV.
 Fused execution is therefore *deterministic* (same plan, same operands,
 same bits every replay) but is checked against the reference with the
 oracle's standard dtype tolerance rather than bit-compared against the
@@ -329,6 +332,9 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
     dtype = fp.dtype
     real = dtype.kind == "f"
     nb, backend = fp.nb, fp.backend
+    # a fused program (no base kernel of its own) runs its fix-up
+    # DGEMVs on the vendor kernel, like its in-place products
+    fix_backend = "vendor" if backend is None else backend
     bound = _scratch_views(fp, buf) if fp.direct_off is not None else None
 
     for step in fp.steps:
@@ -424,4 +430,4 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
             fix(v[ai], v[bi], v[ci],
                 st[al] if al.__class__ is int else al,
                 st[be] if be.__class__ is int else be,
-                ctx=ctx, divisors=divisors)
+                ctx=ctx, divisors=divisors, backend=fix_backend)

@@ -7,6 +7,7 @@ CLI exit codes).  The seeded 1000-case acceptance campaign lives in the
 slow lane.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -51,6 +52,19 @@ class TestCases:
         assert {c.scheme for c in cases} == set(SCHEMES)
         layouts = {c.layout_a for c in cases} | {c.layout_b for c in cases}
         assert layouts == set(LAYOUTS)
+
+    def test_draw_covers_both_backends(self):
+        rng = np.random.default_rng(0)
+        cases = [draw_case(rng) for _ in range(100)]
+        assert {c.backend for c in cases} == {"substrate", "vendor"}
+
+    def test_dict_without_backend_loads_as_substrate(self):
+        rng = np.random.default_rng(5)
+        case = dataclasses.replace(draw_case(rng), backend="vendor")
+        wire = case_to_dict(case)
+        del wire["backend"]
+        assert case_from_dict(wire) == dataclasses.replace(
+            case, backend="substrate")
 
     def test_materialize_deterministic(self):
         rng = np.random.default_rng(3)
@@ -156,6 +170,13 @@ class TestRunner:
         report = run_fuzz(cases=40, seed=123)
         assert report.ok and report.cases == 40
         assert report.coverage  # coverage accounting populated
+
+    def test_coverage_records_backend(self):
+        report = run_fuzz(cases=12, seed=3, max_dim=12)
+        backends = {key for key in report.coverage
+                    if key.startswith("backend:")}
+        assert backends == {"backend:substrate", "backend:vendor"}
+        assert sum(report.coverage[key] for key in backends) == 12
 
     def test_deterministic_in_seed(self):
         rng1 = np.random.default_rng(9)

@@ -282,3 +282,117 @@ class TestAxpbyRewrite:
             inline = self._inline(alpha, x, beta, y)
         self._same_bits(got, want)
         self._same_bits(inline, want)
+
+
+# ---------------------------------------------------------------------- #
+def _fixup_tallies(ctx):
+    return {name: ctx.kernel_calls.get(name, 0) for name in ("dger", "dgemv")}
+
+
+def _planned_fixups(plan):
+    calls = plan.total_counts()["kernel_calls"]
+    return {name: calls.get(name, 0) for name in ("dger", "dgemv")}
+
+
+class TestVendorFixups:
+    """Peeling fix-ups on the vendor DGEMV (``backend="vendor"``).
+
+    37×29×41 peels at every level under the 2×2 schemes and, with
+    remainders 1, 2 and 2 modulo 3, peels one and two indices under
+    ``laderman``'s ⟨3,3,3⟩ partition."""
+
+    M, K, N = 37, 29, 41
+    CASES = pytest.mark.parametrize("scheme", ["auto", "laderman"])
+    PEELS = pytest.mark.parametrize("peel", ["tail", "head"])
+    BETAS = pytest.mark.parametrize("beta", [0.0, 0.5])
+    DTYPES = pytest.mark.parametrize("dtype", ["float32", "complex128"])
+
+    def _cfg(self, scheme, peel, fuse=False, backend="vendor"):
+        return dict(cutoff=CUT, scheme=scheme, peel=peel, backend=backend,
+                    fuse=fuse)
+
+    def _mats(self, dtype):
+        return _mats(np.random.default_rng(17), self.M, self.K, self.N,
+                     dtype)
+
+    @CASES
+    @PEELS
+    @BETAS
+    @DTYPES
+    def test_unfused_replay_equals_eager(self, scheme, peel, beta, dtype):
+        a, b, c = self._mats(dtype)
+        cfg = self._cfg(scheme, peel)
+        plan = compile_plan(signature_for(
+            "serial", self.M, self.K, self.N, False, False, False,
+            beta == 0.0, dtype, GemmConfig(**cfg)))
+        assert plan.fused is None and plan.counts["peel"]
+        eager, ctx_e = c.copy(order="F"), ExecutionContext()
+        dgefmm(a, b, eager, 1.5, beta, ctx=ctx_e, **cfg)
+        for trace in (False, True):
+            got, ctx = _replay(plan, a, b, c, 1.5, beta, trace=trace)
+            assert np.array_equal(got, eager), trace
+            assert _tallies(ctx) == _tallies(ctx_e)
+            assert _fixup_tallies(ctx) == _planned_fixups(plan)
+        assert _planned_fixups(plan)["dgemv"]
+
+    @CASES
+    @PEELS
+    @BETAS
+    @DTYPES
+    def test_parallel_plan_equals_live(self, scheme, peel, beta, dtype):
+        from repro.plan import PlanCache
+
+        a, b, c = self._mats(dtype)
+        cfg = self._cfg(scheme, peel)
+        outs, ctxs = [], []
+        for cache in (None, PlanCache()):
+            out, ctx = c.copy(order="F"), ExecutionContext()
+            pdgefmm(a, b, out, 1.5, beta, ctx=ctx, workers=2,
+                    max_parallel_depth=1, plan_cache=cache, **cfg)
+            outs.append(out)
+            ctxs.append(ctx)
+        assert np.array_equal(outs[0], outs[1])
+        assert _tallies(ctxs[0]) == _tallies(ctxs[1])
+        plan = cache.get(signature_for(
+            "parallel", self.M, self.K, self.N, False, False, False,
+            beta == 0.0, dtype, GemmConfig(**cfg), 1))
+        assert _fixup_tallies(ctxs[1]) == _planned_fixups(plan)
+
+    @CASES
+    @PEELS
+    @BETAS
+    @DTYPES
+    @pytest.mark.parametrize("backend", ["substrate", "vendor"])
+    def test_fused_replay_runs_fixups_on_matmul(self, monkeypatch, scheme,
+                                                peel, beta, dtype, backend):
+        """A fused program's fix-ups run on the vendor GEMV whatever the
+        backend: replays are deterministic, within the oracle's
+        tolerance, and never reach ``einsum``."""
+        from repro.fuzz.oracle import tolerance_for
+        from repro.plan import PlanCache
+
+        a, b, c = self._mats(dtype)
+        cfg = self._cfg(scheme, peel, fuse=True, backend=backend)
+        cache = PlanCache()
+        first = c.copy(order="F")
+        dgefmm(a, b, first, 1.5, beta, plan_cache=cache, **cfg)
+        plan = cache.get(signature_for(
+            "serial", self.M, self.K, self.N, False, False, False,
+            beta == 0.0, dtype, GemmConfig(**cfg)))
+        assert plan.fused is not None
+
+        def boom(*args, **kwargs):
+            raise AssertionError("einsum reached from a fused replay")
+
+        monkeypatch.setattr(np, "einsum", boom)
+        again, ctx = c.copy(order="F"), ExecutionContext()
+        dgefmm(a, b, again, 1.5, beta, plan_cache=cache, ctx=ctx, **cfg)
+        monkeypatch.undo()
+        assert np.array_equal(first, again)
+        assert _fixup_tallies(ctx) == _planned_fixups(plan)
+        wide = np.complex128 if dtype == "complex128" else np.float64
+        expect = 1.5 * (a.astype(wide) @ b.astype(wide))
+        if beta:
+            expect += beta * c.astype(wide)
+        atol = tolerance_for(SimpleNamespace(dtype=dtype), expect)
+        assert np.max(np.abs(again - expect)) <= atol
